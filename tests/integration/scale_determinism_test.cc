@@ -1,6 +1,7 @@
 // Large-fleet determinism smoke test (ctest label: scale): a 10,000-server
 // datacenter under churn must produce byte-identical event traces for 1 and
-// 8 tick-engine threads.  The trace covers every control decision (budgets,
+// 8 tick-engine threads, and the serial trace must hash to a pinned golden
+// value, so a refactor cannot shift decisions unnoticed.  The trace covers every control decision (budgets,
 // reports, migrations, sleeps), so hash equality here is the scaled-up
 // version of the shadow-diff gate's equivalence claim — exercised on fleets
 // big enough that the arena spans and the consolidation fast path actually
@@ -22,6 +23,13 @@ namespace {
 using namespace willow::util::literals;
 
 constexpr std::size_t kServers = 10'000;
+
+// Golden trace hashes of the serial runs, pinned so a change that alters
+// decisions identically at every thread count still fails.  Identical in
+// Release and RelWithDebInfo builds.  Update them only for a deliberate,
+// documented change of controller behaviour.
+constexpr std::uint64_t kGoldenTraceHash = 3918609762550665496ull;
+constexpr std::uint64_t kGoldenChurnTraceHash = 10793352287639824271ull;
 
 SimConfig large_fleet_config() {
   SimConfig cfg;
@@ -83,6 +91,7 @@ TEST(ScaleDeterminism, TenThousandServersTraceIdenticalAcrossThreads) {
   const std::uint64_t golden = fnv1a(serial.trace);
   const std::uint64_t other = fnv1a(threaded.trace);
   RecordProperty("trace_hash", std::to_string(golden));
+  EXPECT_EQ(golden, kGoldenTraceHash) << "decisions changed";
   EXPECT_EQ(golden, other) << "trace hash depends on the thread count";
   // Hash equality is the headline; byte comparison localizes a failure.
   ASSERT_EQ(serial.trace.size(), threaded.trace.size());
@@ -145,6 +154,7 @@ TEST(ScaleDeterminism, SustainedChurnConsolidationIdenticalAcrossThreads) {
   const std::uint64_t golden = fnv1a(serial.trace);
   const std::uint64_t other = fnv1a(threaded.trace);
   RecordProperty("churn_trace_hash", std::to_string(golden));
+  EXPECT_EQ(golden, kGoldenChurnTraceHash) << "decisions changed";
   EXPECT_EQ(golden, other) << "churn trace hash depends on the thread count";
   ASSERT_EQ(serial.trace.size(), threaded.trace.size());
   if (serial.trace != threaded.trace) {
