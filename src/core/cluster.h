@@ -230,9 +230,11 @@ class Cluster {
   [[nodiscard]] const std::vector<NodeId>& server_ids() const {
     return arena_.nodes();
   }
-  /// DEPRECATED NodeId entry points (thin shims over the arena, kept for one
-  /// release — see DESIGN.md §8): prefer handle()/server(ServerHandle) or
-  /// slot-based server_at() on hot paths.
+  /// NodeId entry points: the supported API wherever the PMU leaf id is the
+  /// natural key (the simulator, the controller's migration paths, scenario
+  /// and trace consumers).  Each translates through the arena's flat
+  /// NodeId->slot map; per-server sweeps should still use slot-based
+  /// server_at() (see DESIGN.md §8).
   [[nodiscard]] ManagedServer& server(NodeId id);
   [[nodiscard]] const ManagedServer& server(NodeId id) const;
   [[nodiscard]] bool is_server(NodeId id) const;
@@ -252,7 +254,9 @@ class Cluster {
   /// Locate an application; returns the hosting server's handle (invalid
   /// handle when unknown).
   [[nodiscard]] ServerHandle host_handle_of(AppId app) const;
-  /// DEPRECATED shim: hosting server's PMU leaf, or kNoNode.
+  /// Hosting server's PMU leaf, or kNoNode when unknown.  The NodeId twin of
+  /// host_handle_of(): IPC flow accounting and the controller's in-flight
+  /// landing check key on it.
   [[nodiscard]] NodeId host_of(AppId app) const;
   [[nodiscard]] Application* find_app(AppId app);
   [[nodiscard]] const Application* find_app(AppId app) const;

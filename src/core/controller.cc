@@ -52,44 +52,6 @@ std::uint64_t bits_of(double d) {
 }
 }
 
-std::string to_string(const ControlEvent& e) {
-  std::string out = "t=" + std::to_string(e.tick) + " ";
-  switch (e.kind) {
-    case EventKind::kMigrationInitiated:
-      out += "migrate app " + std::to_string(e.app) + " " +
-             std::to_string(e.node) + " -> " + std::to_string(e.node2);
-      break;
-    case EventKind::kMigrationCompleted:
-      out += "landed app " + std::to_string(e.app) + " on " +
-             std::to_string(e.node2);
-      break;
-    case EventKind::kDrop:
-      out += "drop app " + std::to_string(e.app) + " on " +
-             std::to_string(e.node);
-      break;
-    case EventKind::kDegrade:
-      out += "degrade app " + std::to_string(e.app) + " on " +
-             std::to_string(e.node);
-      break;
-    case EventKind::kRevive:
-      out += "revive app " + std::to_string(e.app) + " on " +
-             std::to_string(e.node);
-      break;
-    case EventKind::kRestore:
-      out += "restore app " + std::to_string(e.app) + " on " +
-             std::to_string(e.node);
-      break;
-    case EventKind::kSleep:
-      out += "sleep server " + std::to_string(e.node);
-      break;
-    case EventKind::kWake:
-      out += "wake server " + std::to_string(e.node);
-      break;
-  }
-  out += " (" + std::to_string(e.amount.value()) + " W)";
-  return out;
-}
-
 void ControllerConfig::validate() const {
   if (!(demand_period.value() > 0.0)) {
     throw std::invalid_argument("ControllerConfig: demand_period must be > 0");
@@ -337,11 +299,16 @@ void Controller::resolve_fault_instruments() {
   c_fallback_budgets_ = &m.counter("fault.fallback_budgets");
 }
 
-void Controller::count_shadow_check(bool mismatch) {
+void Controller::shadow_verify(bool mismatch, const char* what,
+                               NodeId node) {
   if (c_shadow_checks_ != nullptr) {
     c_shadow_checks_->increment();
     if (mismatch) c_shadow_mismatches_->increment();
   }
+  if (!mismatch) return;
+  std::string msg = std::string("Controller shadow diff: ") + what;
+  if (node != hier::kNoNode) msg += " (node " + std::to_string(node) + ")";
+  throw std::logic_error(msg);
 }
 
 void Controller::apply_stale_observations() {
@@ -417,19 +384,51 @@ void Controller::apply_fallback_budgets() {
   }
 }
 
-void Controller::deliver_directive(NodeId id, Watts budget) {
+bool Controller::send_directive(NodeId id, Watts budget,
+                                std::uint64_t& directives) {
   auto& tree = cluster_.tree();
   auto& n = tree.node(id);
+  const bool observe = bus_ != nullptr && bus_->enabled();
+  // The root's budget assignment crosses no link — it is the division's
+  // input, not a directive to anyone — so it can neither be lost nor counted
+  // (the directive counter reconciles against downward link-message trace
+  // lines).
+  fault::DownVerdict fate{};
+  if (link_faults_ != nullptr && !n.is_root()) fate = link_faults_->down(id);
+  if (fate.lose) {
+    if (c_directive_losses_ != nullptr) c_directive_losses_->increment();
+    if (observe) {
+      obs::Event e = make_event(obs::EventType::kLinkDrop, id, hier::kNoNode, 0,
+                                obs::Reason::kNone, budget.value(),
+                                n.budget().value());
+      e.direction = obs::LinkDirection::kDown;
+      bus_->emit(std::move(e));
+    }
+    return false;
+  }
+  const double previous = n.budget().value();
   if (budget < n.budget() - Watts{kEps}) budget_reduced_[id] = true;
-  if (bus_ != nullptr && bus_->enabled()) {
+  if (observe) {
     bus_->emit(make_event(obs::EventType::kBudgetDirective, id, hier::kNoNode,
-                          0, obs::Reason::kNone, budget.value(),
-                          n.budget().value()));
+                          0, obs::Reason::kNone, budget.value(), previous));
   }
   n.set_budget(budget);
   tree.record_budget_directive(id);
   division_dirty_[id] = 1;  // its own children now share a different pie
   touch(id);
+  if (!n.is_root()) ++directives;
+  if (fate.duplicate) {
+    // Same message applied twice: state is unchanged, but the message
+    // counters and the trace must carry both copies.
+    tree.record_budget_directive(id);
+    ++directives;
+    if (observe) {
+      bus_->emit(make_event(obs::EventType::kBudgetDirective, id,
+                            hier::kNoNode, 0, obs::Reason::kNone,
+                            budget.value(), previous));
+    }
+  }
+  return true;
 }
 
 void Controller::queue_directive_retry(NodeId id, Watts budget) {
@@ -452,7 +451,6 @@ void Controller::queue_directive_retry(NodeId id, Watts budget) {
 void Controller::retry_pending_directives() {
   if (pending_directives_.empty()) return;
   auto& tree = cluster_.tree();
-  const bool observe = bus_ != nullptr && bus_->enabled();
   std::uint64_t directives = 0;
   auto keep = pending_directives_.begin();
   for (auto& p : pending_directives_) {
@@ -460,51 +458,25 @@ void Controller::retry_pending_directives() {
       *keep++ = p;
       continue;
     }
-    auto& n = tree.node(p.node);
-    if (p.budget.value() == n.budget().value()) {
+    if (p.budget.value() == tree.node(p.node).budget().value()) {
       // Something else (a fresh division, a clamp) already put the node at
       // this value; resending would fabricate a spurious directive.
       continue;
     }
-    fault::DownVerdict fate{};
-    if (link_faults_ != nullptr) fate = link_faults_->down(p.node);
-    if (fate.lose) {
-      ++p.attempts;
-      if (c_directive_losses_ != nullptr) c_directive_losses_->increment();
-      if (observe) {
-        obs::Event e = make_event(obs::EventType::kLinkDrop, p.node,
-                                  hier::kNoNode, 0, obs::Reason::kNone,
-                                  p.budget.value(), n.budget().value());
-        e.direction = obs::LinkDirection::kDown;
-        bus_->emit(std::move(e));
-      }
-      if (p.attempts > config_.directive_retry_limit) {
-        // Abandoned: the parent stayed division-dirty the whole time, so the
-        // next supply pass re-derives a fresh directive from live state.
-        if (c_directives_abandoned_ != nullptr) {
-          c_directives_abandoned_->increment();
-        }
-        continue;
-      }
-      p.next_retry = tick_ + (1L << std::min(p.attempts, 6));
-      *keep++ = p;
+    if (send_directive(p.node, p.budget, directives)) {
+      if (c_directive_retries_ != nullptr) c_directive_retries_->increment();
       continue;
     }
-    const double previous = n.budget().value();
-    deliver_directive(p.node, p.budget);
-    ++directives;
-    if (c_directive_retries_ != nullptr) c_directive_retries_->increment();
-    if (fate.duplicate) {
-      // Same message applied twice: state is unchanged, but the message
-      // counters and the trace must carry both copies.
-      tree.record_budget_directive(p.node);
-      ++directives;
-      if (observe) {
-        bus_->emit(make_event(obs::EventType::kBudgetDirective, p.node,
-                              hier::kNoNode, 0, obs::Reason::kNone,
-                              p.budget.value(), previous));
+    if (++p.attempts > config_.directive_retry_limit) {
+      // Abandoned: the parent stayed division-dirty the whole time, so the
+      // next supply pass re-derives a fresh directive from live state.
+      if (c_directives_abandoned_ != nullptr) {
+        c_directives_abandoned_->increment();
       }
+      continue;
     }
+    p.next_retry = tick_ + (1L << std::min(p.attempts, 6));
+    *keep++ = p;
   }
   pending_directives_.erase(keep, pending_directives_.end());
   if (c_budget_directives_ != nullptr && directives > 0) {
@@ -526,7 +498,6 @@ void Controller::tick(Watts available_supply) {
     touch(rec.to);
   }
   migrations_this_tick_.clear();
-  events_this_tick_.clear();
   targets_this_tick_.clear();
   absorbed_w_.assign(cluster_.tree().size(), 0.0);
   migrated_from_w_.assign(cluster_.tree().size(), 0.0);
@@ -564,23 +535,18 @@ void Controller::tick(Watts available_supply) {
   cluster_.age_temporary_demands();
 }
 
-void Controller::shadow_check_hard_limit(NodeId id) {
+Watts Controller::rolled_up_hard_limit(NodeId id) const {
   const auto& tree = cluster_.tree();
-  const auto& n = tree.node(id);
   Watts sum{0.0};
-  for (NodeId c : n.children()) {
+  for (NodeId c : tree.node(id).children()) {
     if (tree.node(c).active()) sum += tree.node(c).hard_limit();
   }
+  // An under-designed rack/zone feed caps the subtree regardless of what
+  // its members could individually draw (Sec. I lean-design scenario).
   if (const auto rating = cluster_.group_circuit_limit(id)) {
     sum = util::min(sum, *rating);
   }
-  const bool mismatch = sum.value() != n.hard_limit().value();
-  count_shadow_check(mismatch);
-  if (mismatch) {
-    throw std::logic_error(
-        "Controller shadow diff: hard-limit roll-up skipped node " +
-        std::to_string(id) + " whose children's limits changed");
-  }
+  return sum;
 }
 
 void Controller::update_hard_limits() {
@@ -609,19 +575,17 @@ void Controller::update_hard_limits() {
     auto& n = tree.node(id);
     if (n.is_leaf()) continue;
     if (inc && !limit_dirty_[id]) {
-      if (config_.shadow_diff) shadow_check_hard_limit(id);
+      if (config_.shadow_diff) {
+        shadow_verify(
+            rolled_up_hard_limit(id).value() != n.hard_limit().value(),
+            "hard-limit roll-up skipped a node whose children's limits "
+            "changed",
+            id);
+      }
       continue;
     }
     limit_dirty_[id] = 0;
-    Watts sum{0.0};
-    for (NodeId c : n.children()) {
-      if (tree.node(c).active()) sum += tree.node(c).hard_limit();
-    }
-    // An under-designed rack/zone feed caps the subtree regardless of what
-    // its members could individually draw (Sec. I lean-design scenario).
-    if (const auto rating = cluster_.group_circuit_limit(id)) {
-      sum = util::min(sum, *rating);
-    }
+    const Watts sum = rolled_up_hard_limit(id);
     if (sum.value() != n.hard_limit().value()) {
       n.set_hard_limit(sum);
       const NodeId p = n.parent();
@@ -633,11 +597,14 @@ void Controller::update_hard_limits() {
   }
 }
 
-void Controller::shadow_check_division(NodeId id) {
-  auto& tree = cluster_.tree();
+AllocationResult Controller::divide(NodeId id) {
+  const auto& tree = cluster_.tree();
   const auto& n = tree.node(id);
   const auto& kids = n.children();
-  std::vector<Watts> demands(kids.size()), caps(kids.size());
+  auto& demands = alloc_demands_scratch_;
+  auto& caps = alloc_caps_scratch_;
+  demands.resize(kids.size());
+  caps.resize(kids.size());
   for (std::size_t i = 0; i < kids.size(); ++i) {
     const auto& child = tree.node(kids[i]);
     caps[i] = child.active() ? child.hard_limit() : Watts{0.0};
@@ -645,20 +612,7 @@ void Controller::shadow_check_division(NodeId id) {
                      ? (child.active() ? child.reported_demand() : Watts{0.0})
                      : caps[i];
   }
-  const AllocationResult alloc =
-      allocate_proportional(n.budget(), demands, caps);
-  bool mismatch = false;
-  for (std::size_t i = 0; i < kids.size(); ++i) {
-    if (alloc.budgets[i].value() != tree.node(kids[i]).budget().value()) {
-      mismatch = true;
-    }
-  }
-  count_shadow_check(mismatch);
-  if (mismatch) {
-    throw std::logic_error(
-        "Controller shadow diff: memoized division under node " +
-        std::to_string(id) + " no longer matches a fresh allocation");
-  }
+  return allocate_proportional(n.budget(), demands, caps);
 }
 
 void Controller::supply_adaptation(Watts available_supply) {
@@ -679,7 +633,6 @@ void Controller::supply_adaptation(Watts available_supply) {
     }
   }
 
-  const bool observe = bus_ != nullptr && bus_->enabled();
   const bool inc = config_.incremental;
   std::uint64_t directives = 0;
   std::uint64_t memoized = 0;
@@ -695,44 +648,12 @@ void Controller::supply_adaptation(Watts available_supply) {
   // actually changed (bitwise).  Identical decisions in both walk modes: the
   // full walk re-derives every budget but announces only the changed ones.
   auto mark_and_set = [&](NodeId id, Watts budget) {
-    auto& n = tree.node(id);
-    if (budget.value() == n.budget().value()) {
-      drop_pending(id);
-      return;
-    }
-    // The root's budget assignment crosses no link — it is the division's
-    // input, not a directive to anyone — so it can neither be lost nor
-    // counted (the directive counter reconciles against downward
-    // link-message trace lines).
-    fault::DownVerdict fate{};
-    if (link_faults_ != nullptr && !n.is_root()) fate = link_faults_->down(id);
-    if (fate.lose) {
-      if (c_directive_losses_ != nullptr) c_directive_losses_->increment();
-      if (observe) {
-        obs::Event e = make_event(obs::EventType::kLinkDrop, id, hier::kNoNode,
-                                  0, obs::Reason::kNone, budget.value(),
-                                  n.budget().value());
-        e.direction = obs::LinkDirection::kDown;
-        bus_->emit(std::move(e));
-      }
+    if (budget.value() != tree.node(id).budget().value() &&
+        !send_directive(id, budget, directives)) {
       queue_directive_retry(id, budget);
       return;
     }
-    const double previous = n.budget().value();
-    deliver_directive(id, budget);
     drop_pending(id);
-    if (!n.is_root()) ++directives;
-    if (fate.duplicate) {
-      // Same message applied twice: state is unchanged, but the message
-      // counters and the trace must carry both copies.
-      tree.record_budget_directive(id);
-      ++directives;
-      if (observe) {
-        bus_->emit(make_event(obs::EventType::kBudgetDirective, id,
-                              hier::kNoNode, 0, obs::Reason::kNone,
-                              budget.value(), previous));
-      }
-    }
   };
 
   const NodeId root = tree.root();
@@ -741,29 +662,26 @@ void Controller::supply_adaptation(Watts available_supply) {
   for (NodeId id : top_down_) {
     auto& n = tree.node(id);
     if (n.is_leaf()) continue;
+    const auto& kids = n.children();
     if (inc && !division_dirty_[id]) {
       // Own budget, child demand vector and child capacities all unchanged
       // since this division last ran: the children's budgets stand.
       ++memoized;
-      if (config_.shadow_diff) shadow_check_division(id);
+      if (config_.shadow_diff) {
+        const AllocationResult alloc = divide(id);
+        bool mismatch = false;
+        for (std::size_t i = 0; i < kids.size(); ++i) {
+          mismatch |= alloc.budgets[i].value() !=
+                      tree.node(kids[i]).budget().value();
+        }
+        shadow_verify(mismatch,
+                      "memoized division no longer matches a fresh allocation",
+                      id);
+      }
       continue;
     }
     division_dirty_[id] = 0;
-    const auto& kids = n.children();
-    auto& demands = alloc_demands_scratch_;
-    auto& caps = alloc_caps_scratch_;
-    demands.resize(kids.size());
-    caps.resize(kids.size());
-    for (std::size_t i = 0; i < kids.size(); ++i) {
-      const auto& child = tree.node(kids[i]);
-      caps[i] = child.active() ? child.hard_limit() : Watts{0.0};
-      demands[i] =
-          config_.allocation == AllocationPolicy::kProportionalToDemand
-              ? (child.active() ? child.reported_demand() : Watts{0.0})
-              : caps[i];
-    }
-    const AllocationResult alloc =
-        allocate_proportional(n.budget(), demands, caps);
+    const AllocationResult alloc = divide(id);
     for (std::size_t i = 0; i < kids.size(); ++i) {
       mark_and_set(kids[i], alloc.budgets[i]);
     }
@@ -913,8 +831,6 @@ void Controller::complete_due_migrations() {
     apps_in_flight_.erase(m.app);
     touch(m.target);
     touch(m.source);
-    events_this_tick_.push_back({EventKind::kMigrationCompleted, tick_, m.app,
-                                 m.source, m.target, m.demand});
     if (bus_ != nullptr && bus_->enabled()) {
       bus_->emit(make_event(obs::EventType::kMigrationLanded, m.source,
                             m.target, m.app, obs::Reason::kNone,
@@ -973,8 +889,6 @@ void Controller::apply_migration(const PlanItem& item, NodeId target) {
   rec.tick = tick_;
   rec.local = tree.node(item.source).parent() == tree.node(target).parent();
   migrations_this_tick_.push_back(rec);
-  events_this_tick_.push_back({EventKind::kMigrationInitiated, tick_, item.app,
-                               item.source, target, item.demand});
   if (bus_ != nullptr && bus_->enabled()) {
     const obs::Reason reason =
         item.reason != obs::Reason::kNone
@@ -1005,6 +919,23 @@ void Controller::apply_migration(const PlanItem& item, NodeId target) {
                  << ", " << (rec.local ? "local" : "non-local") << ")";
 }
 
+void Controller::fill_pack_items(const std::vector<PlanItem>& items,
+                                 std::vector<binpack::Item>& out) {
+  out.clear();
+  out.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    out.push_back({static_cast<std::uint64_t>(i), items[i].size.value(), 0});
+  }
+}
+
+void Controller::add_bin(NodeId t, PackBuffers& buf) const {
+  const Watts cap = target_capacity(t);
+  if (cap.value() > kEps) {
+    buf.bins.push_back({static_cast<std::uint64_t>(t), cap.value(), 0});
+    buf.bin_nodes.push_back(t);
+  }
+}
+
 std::vector<std::size_t> Controller::pack_and_apply(
     std::vector<PlanItem>& items, const std::vector<NodeId>& targets) {
   if (bus_ != nullptr) {
@@ -1013,27 +944,20 @@ std::vector<std::size_t> Controller::pack_and_apply(
     m.histogram("controller.pack_items", {1, 2, 4, 8, 16, 32, 64, 128})
         .observe(static_cast<double>(items.size()));
   }
+  auto& buf = pack_scratch_;
+  fill_pack_items(items, buf.items);
   std::uint64_t items_sig = kFnvOffset;
-  bp_items_scratch_.clear();
-  bp_items_scratch_.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    bp_items_scratch_.push_back(
-        {static_cast<std::uint64_t>(i), items[i].size.value(), 0});
-    items_sig = fnv1a(items_sig, items[i].app);
-    items_sig = fnv1a(items_sig, bits_of(items[i].size.value()));
+  for (const auto& item : items) {
+    items_sig = fnv1a(items_sig, item.app);
+    items_sig = fnv1a(items_sig, bits_of(item.size.value()));
   }
+  buf.bins.clear();
+  buf.bin_nodes.clear();
+  for (NodeId t : targets) add_bin(t, buf);
   std::uint64_t bins_sig = kFnvOffset;
-  bp_bins_scratch_.clear();
-  bin_node_scratch_.clear();
-  for (NodeId t : targets) {
-    const Watts cap = target_capacity(t);
-    if (cap.value() > kEps) {
-      bp_bins_scratch_.push_back(
-          {static_cast<std::uint64_t>(t), cap.value(), 0});
-      bin_node_scratch_.push_back(t);
-      bins_sig = fnv1a(bins_sig, t);
-      bins_sig = fnv1a(bins_sig, bits_of(cap.value()));
-    }
+  for (const auto& bin : buf.bins) {
+    bins_sig = fnv1a(bins_sig, bin.key);
+    bins_sig = fnv1a(bins_sig, bits_of(bin.capacity));
   }
   // Previous-call reuse: when the identical all-unplaced problem comes back
   // (same items, same bins), the packer's verdict stands; only no-assignment
@@ -1044,27 +968,23 @@ std::vector<std::size_t> Controller::pack_and_apply(
       pack_memo_.items_sig == items_sig && pack_memo_.bins_sig == bins_sig) {
     if (config_.shadow_diff) {
       const binpack::PackResult check =
-          binpack::pack(bp_items_scratch_, bp_bins_scratch_, config_.packing);
-      const bool mismatch = !check.assignments.empty() ||
-                            check.unplaced != pack_memo_.unplaced;
-      count_shadow_check(mismatch);
-      if (mismatch) {
-        throw std::logic_error(
-            "Controller shadow diff: reused packing no longer reproduces");
-      }
+          binpack::pack(buf.items, buf.bins, config_.packing);
+      shadow_verify(!check.assignments.empty() ||
+                        check.unplaced != pack_memo_.unplaced,
+                    "reused packing no longer reproduces");
     }
     if (c_packings_reused_ != nullptr) c_packings_reused_->increment();
     return pack_memo_.unplaced;
   }
   const binpack::PackResult result =
-      binpack::pack(bp_items_scratch_, bp_bins_scratch_, config_.packing);
+      binpack::pack(buf.items, buf.bins, config_.packing);
   pack_memo_.valid = result.assignments.empty();
   pack_memo_.items_sig = items_sig;
   pack_memo_.bins_sig = bins_sig;
   pack_memo_.item_count = items.size();
   pack_memo_.unplaced = result.unplaced;
   for (const auto& a : result.assignments) {
-    apply_migration(items[a.item], bin_node_scratch_[a.bin]);
+    apply_migration(items[a.item], buf.bin_nodes[a.bin]);
   }
   return result.unplaced;
 }
@@ -1207,19 +1127,9 @@ void Controller::demand_adaptation() {
       for (std::size_t i = 0; i < take; ++i) {
         const NodeId s = asleep[next++];
         cluster_.wake_server(s);
-        {
-          // The wake flips an active flag the aggregation sweeps cannot see.
-          const NodeId p = tree.node(s).parent();
-          if (p != hier::kNoNode) {
-            limit_dirty_[p] = 1;
-            division_dirty_[p] = 1;
-          }
-          tree.mark_report_dirty(s);
-          touch(s);
-        }
+        // The wake flips an active flag the aggregation sweeps cannot see.
+        note_availability_change(s);
         ++stats_.wakes;
-        events_this_tick_.push_back(
-            {EventKind::kWake, tick_, 0, s, hier::kNoNode, Watts{0.0}});
         if (bus_ != nullptr && bus_->enabled()) {
           bus_->emit(make_event(obs::EventType::kWake, s, hier::kNoNode, 0,
                                 obs::Reason::kSupplyDeficit));
@@ -1303,8 +1213,6 @@ void Controller::shed_leftovers(std::vector<PlanItem>& pending) {
         ++stats_.degrades;
         stats_.degraded_demand += Watts{released};
         shed += released;
-        events_this_tick_.push_back({EventKind::kDegrade, tick_, app->id(),
-                                     source, hier::kNoNode, Watts{released}});
         if (bus_ != nullptr && bus_->enabled()) {
           bus_->emit(make_event(obs::EventType::kDegrade, source,
                                 hier::kNoNode, app->id(),
@@ -1325,8 +1233,6 @@ void Controller::shed_leftovers(std::vector<PlanItem>& pending) {
       ++stats_.drops;
       stats_.dropped_demand += Watts{released};
       shed += released;
-      events_this_tick_.push_back({EventKind::kDrop, tick_, app->id(), source,
-                                   hier::kNoNode, Watts{released}});
       if (bus_ != nullptr && bus_->enabled()) {
         bus_->emit(make_event(obs::EventType::kDrop, source, hier::kNoNode,
                               app->id(), obs::Reason::kShedding, released));
@@ -1341,6 +1247,86 @@ void Controller::shed_leftovers(std::vector<PlanItem>& pending) {
       touch(source);
     }
   }
+}
+
+Controller::ConsolEntry Controller::judge_consol_entry(
+    std::size_t i, double fleet_envelope) const {
+  // Candidates: active servers whose *demand-based* utilization sits below
+  // the threshold (budget starvation must not masquerade as idleness).
+  ConsolEntry e;
+  const auto& leaf = cluster_.tree().node(cluster_.server_ids()[i]);
+  if (!leaf.active() || reported_deficit(leaf).value() > kEps) return e;
+  const auto& srv = cluster_.server_at(i);
+  const Watts dynamic =
+      util::positive_part(leaf.reported_demand() - srv.idle_floor());
+  const double range = config_.utilization_reference ==
+                               UtilizationReference::kThermalSustainable
+                           ? fleet_envelope
+                           : srv.power_model().dynamic_range().value();
+  const double u = range > 0.0 ? dynamic.value() / range : 0.0;
+  if (u < config_.consolidation_threshold) {
+    e.eligible = true;
+    e.utilization = u;
+    e.envelope = server_envelope_[i];
+  }
+  return e;
+}
+
+bool Controller::consol_skip(std::size_t ci) const {
+  const NodeId s = cluster_.server_ids()[ci];
+  if (targets_this_tick_.contains(s)) return true;
+  // Latency mode: leave servers with transfers in either direction alone
+  // until the dust settles.
+  if (reserved_in_w_[s] > kEps || outbound_in_flight_w_[s] > kEps) return true;
+  for (const auto& a : cluster_.server_at(ci).apps()) {
+    if (apps_in_flight_.contains(a.id())) return true;
+  }
+  return false;
+}
+
+std::uint64_t Controller::consol_items(std::size_t ci,
+                                       std::vector<PlanItem>* items) const {
+  // All-or-nothing: every hosted app (even dropped ones — a sleeping host
+  // cannot retain VMs) must find a berth, else the server stays up.  The
+  // fingerprint covers each app's identity and live demand, which churn can
+  // change without moving the epoch-stamped aggregate (sums can collide
+  // bitwise).
+  const NodeId s = cluster_.server_ids()[ci];
+  if (items != nullptr) items->clear();
+  std::uint64_t sig = kFnvOffset;
+  for (const auto& a : cluster_.server_at(ci).apps()) {
+    const Watts demand = a.dropped() ? Watts{0.0} : a.demand();
+    sig = fnv1a(sig, a.id());
+    sig = fnv1a(sig, bits_of(demand.value()));
+    if (items != nullptr) {
+      items->push_back({a.id(), s, demand + config_.migration_cost, demand,
+                        MigrationCause::kConsolidation,
+                        obs::Reason::kConsolidation});
+    }
+  }
+  return sig;
+}
+
+bool Controller::scope_dry_run(NodeId scope, NodeId exclude,
+                               const std::vector<PlanItem>& items,
+                               PackBuffers& buf, Assignments& assign) const {
+  const auto& tree = cluster_.tree();
+  const auto& arena = cluster_.arena();
+  fill_pack_items(items, buf.items);
+  buf.bins.clear();
+  buf.bin_nodes.clear();
+  for (const std::uint32_t slot : arena.subtree(scope)) {
+    const NodeId t = arena.node_of(slot);
+    if (t == exclude || !tree.node(t).active()) continue;
+    if (eligible_target(t, scope)) add_bin(t, buf);
+  }
+  const binpack::PackResult result =
+      binpack::pack(buf.items, buf.bins, config_.packing);
+  assign.clear();
+  for (const auto& a : result.assignments) {
+    assign.emplace_back(a.item, buf.bin_nodes[a.bin]);
+  }
+  return result.all_placed();
 }
 
 void Controller::consolidate() {
@@ -1380,64 +1366,19 @@ void Controller::consolidate() {
   // Candidate index refresh: an entry is a pure function of the server's
   // reported demand, budget and envelope — all epoch-stamped — plus the
   // fleet envelope, so only servers whose subtree moved are re-judged.
-  // Candidates: active servers whose *demand-based* utilization sits below
-  // the threshold (budget starvation must not masquerade as idleness).
   bool entries_changed = false;
   for (std::size_t i = 0; i < count; ++i) {
     const NodeId s = sids[i];
     if (inc && !envelope_shift && consol_entry_epoch_[i] == subtree_epoch_[s]) {
       if (config_.shadow_diff) {
-        ConsolEntry fresh;
-        const auto& leaf = tree.node(s);
-        if (leaf.active() && reported_deficit(leaf).value() <= kEps) {
-          const auto& srv = cluster_.server_at(i);
-          const Watts dynamic =
-              util::positive_part(leaf.reported_demand() - srv.idle_floor());
-          const double range =
-              thermal_ref ? fleet_envelope
-                          : srv.power_model().dynamic_range().value();
-          const double u = range > 0.0 ? dynamic.value() / range : 0.0;
-          if (u < config_.consolidation_threshold) {
-            fresh.eligible = true;
-            fresh.utilization = u;
-            fresh.envelope = server_envelope_[i];
-          }
-        }
-        const ConsolEntry& held = consol_entry_[i];
-        const bool mismatch = fresh.eligible != held.eligible ||
-                              fresh.utilization != held.utilization ||
-                              fresh.envelope != held.envelope;
-        count_shadow_check(mismatch);
-        if (mismatch) {
-          throw std::logic_error(
-              "Controller shadow diff: stale consolidation entry for server " +
-              std::to_string(s));
-        }
+        shadow_verify(judge_consol_entry(i, fleet_envelope) != consol_entry_[i],
+                      "stale consolidation entry", s);
       }
       continue;
     }
     consol_entry_epoch_[i] = subtree_epoch_[s];
-    ConsolEntry e;
-    const auto& leaf = tree.node(s);
-    if (leaf.active() && reported_deficit(leaf).value() <= kEps) {
-      const auto& srv = cluster_.server_at(i);
-      const Watts dynamic =
-          util::positive_part(leaf.reported_demand() - srv.idle_floor());
-      const double range = thermal_ref
-                               ? fleet_envelope
-                               : srv.power_model().dynamic_range().value();
-      const double u = range > 0.0 ? dynamic.value() / range : 0.0;
-      if (u < config_.consolidation_threshold) {
-        e.eligible = true;
-        e.utilization = u;
-        e.envelope = server_envelope_[i];
-      }
-    }
-    const ConsolEntry& old = consol_entry_[i];
-    if (e.eligible != old.eligible || e.utilization != old.utilization ||
-        e.envelope != old.envelope) {
-      entries_changed = true;
-    }
+    const ConsolEntry e = judge_consol_entry(i, fleet_envelope);
+    if (e != consol_entry_[i]) entries_changed = true;
     consol_entry_[i] = e;
   }
 
@@ -1563,16 +1504,8 @@ void Controller::consolidate() {
     tree.node(s).set_budget(Watts{0.0});
     // The sleep flips an active flag (parent's roll-up and division change)
     // and zeroes a budget outside the distributor's bookkeeping.
-    const NodeId p = tree.node(s).parent();
-    if (p != hier::kNoNode) {
-      limit_dirty_[p] = 1;
-      division_dirty_[p] = 1;
-    }
-    tree.mark_report_dirty(s);
-    touch(s);
+    note_availability_change(s);
     ++stats_.sleeps;
-    events_this_tick_.push_back(
-        {EventKind::kSleep, tick_, 0, s, hier::kNoNode, Watts{0.0}});
     if (bus_ != nullptr && bus_->enabled()) {
       bus_->emit(make_event(obs::EventType::kSleep, s, hier::kNoNode, 0,
                             obs::Reason::kConsolidation));
@@ -1597,77 +1530,29 @@ void Controller::consolidate() {
   if (precompute) {
     util::parallel_for_ranges(
         pool_, n_cand, [&](std::size_t begin, std::size_t end) {
-          // Worker-local pack buffers; the shared bp_*_scratch_ members stay
-          // untouched until the serial phase.
-          std::vector<binpack::Item> bp_items;
-          std::vector<binpack::Bin> bp_bins;
-          std::vector<NodeId> bin_nodes;
+          // Worker-local pack buffers: no member scratch is shared across
+          // threads.
+          PackBuffers buf;
           for (std::size_t k = begin; k < end; ++k) {
             const std::uint32_t ci = consol_order_[k];
             const NodeId s = sids[ci];
             const NodeId scope = tree.node(s).parent();
             if (scope == hier::kNoNode || scope == root) continue;
-            // Mirror the serial skip checks (cheap reads, frozen during this
-            // phase); a candidate skipped here just recomputes serially.
-            if (targets_this_tick_.contains(s)) continue;
-            if (reserved_in_w_[s] > kEps || outbound_in_flight_w_[s] > kEps) {
+            // The serial skip test (cheap reads, frozen during this phase); a
+            // candidate skipped here just recomputes serially.  An empty
+            // server is slept, not drained.
+            if (consol_skip(ci) || cluster_.server_at(ci).apps().empty()) {
               continue;
             }
-            const auto& srv = cluster_.server_at(ci);
-            if (srv.apps().empty()) continue;
-            bool hosts_in_flight = false;
-            for (const auto& a : srv.apps()) {
-              if (apps_in_flight_.contains(a.id())) {
-                hosts_in_flight = true;
-                break;
-              }
-            }
-            if (hosts_in_flight) continue;
             ConsolPlan& plan = consol_plan_[k];
-            std::uint64_t sig = kFnvOffset;
-            plan.items.clear();
-            for (const auto& a : srv.apps()) {
-              sig = fnv1a(sig, a.id());
-              sig = fnv1a(sig, bits_of(a.dropped() ? 0.0 : a.demand().value()));
-              plan.items.push_back({a.id(), s,
-                                    (a.dropped() ? Watts{0.0} : a.demand()) +
-                                        config_.migration_cost,
-                                    a.dropped() ? Watts{0.0} : a.demand(),
-                                    MigrationCause::kConsolidation,
-                                    obs::Reason::kConsolidation});
-            }
+            const std::uint64_t sig = consol_items(ci, &plan.items);
             // The local failure cache already answers at this epoch: the
             // serial phase will take that path without needing a plan.
-            if (consol_fail_local_[ci].valid &&
-                consol_fail_local_[ci].epoch == subtree_epoch_[scope] &&
-                consol_fail_local_[ci].item_sig == sig) {
+            if (consol_fail_local_[ci].holds(subtree_epoch_[scope], sig)) {
               continue;
             }
-            bp_items.clear();
-            for (std::size_t i = 0; i < plan.items.size(); ++i) {
-              bp_items.push_back({i, plan.items[i].size.value(), 0});
-            }
-            bp_bins.clear();
-            bin_nodes.clear();
-            const SubtreeSpan span = arena.subtree(scope);
-            for (const std::uint32_t slot : span) {
-              const NodeId t = arena.node_of(slot);
-              if (t == s) continue;
-              if (!tree.node(t).active()) continue;
-              if (!eligible_target(t, scope)) continue;
-              const Watts cap = target_capacity(t);
-              if (cap.value() > kEps) {
-                bp_bins.push_back({static_cast<std::uint64_t>(t), cap.value(), 0});
-                bin_nodes.push_back(t);
-              }
-            }
-            const binpack::PackResult result =
-                binpack::pack(bp_items, bp_bins, config_.packing);
-            plan.assign.clear();
-            for (const auto& a : result.assignments) {
-              plan.assign.emplace_back(a.item, bin_nodes[a.bin]);
-            }
-            plan.placed_all = result.all_placed();
+            plan.placed_all =
+                scope_dry_run(scope, s, plan.items, buf, plan.assign);
             plan.sig = sig;
             plan.scope_epoch = subtree_epoch_[scope];
             plan.computed = true;
@@ -1679,19 +1564,8 @@ void Controller::consolidate() {
   for (std::size_t k = 0; k < n_cand; ++k) {
     const std::uint32_t ci = consol_order_[k];
     const NodeId s = sids[ci];
-    if (targets_this_tick_.contains(s)) continue;
-    // Latency mode: leave servers with transfers in either direction alone
-    // until the dust settles.
-    if (reserved_in_w_[s] > kEps || outbound_in_flight_w_[s] > kEps) continue;
-    auto& srv = cluster_.server_at(ci);
-    bool hosts_in_flight = false;
-    for (const auto& a : srv.apps()) {
-      if (apps_in_flight_.contains(a.id())) {
-        hosts_in_flight = true;
-        break;
-      }
-    }
-    if (hosts_in_flight) continue;
+    if (consol_skip(ci)) continue;
+    const auto& srv = cluster_.server_at(ci);
     ++n_candidates;
     if (srv.apps().empty()) {
       put_to_sleep(s);
@@ -1699,19 +1573,9 @@ void Controller::consolidate() {
       continue;
     }
 
-    // Fingerprint of what would be drained: the packing outcome depends on
-    // each hosted app's identity and live demand, which churn can change
-    // without moving the epoch-stamped aggregate (sums can collide bitwise).
-    std::uint64_t sig = kFnvOffset;
-    for (const auto& a : srv.apps()) {
-      sig = fnv1a(sig, a.id());
-      sig = fnv1a(sig, bits_of(a.dropped() ? 0.0 : a.demand().value()));
-    }
-
+    const std::uint64_t sig = consol_items(ci, nullptr);
     const bool cached_root_fail =
-        inc && consol_fail_root_[ci].valid &&
-        consol_fail_root_[ci].epoch == subtree_epoch_[root] &&
-        consol_fail_root_[ci].item_sig == sig;
+        inc && consol_fail_root_[ci].holds(subtree_epoch_[root], sig);
     if (cached_root_fail && !config_.shadow_diff) {
       // Nothing anywhere in the tree changed since this candidate last
       // failed to drain at fleet scope: it fails again.
@@ -1720,9 +1584,7 @@ void Controller::consolidate() {
       continue;
     }
 
-    // All-or-nothing: every hosted app (even dropped ones — a sleeping host
-    // cannot retain VMs) must find a berth, else the server stays up.  The
-    // item list lives in the candidate's plan slot (member scratch — no
+    // The item list lives in the candidate's plan slot (member scratch — no
     // per-candidate allocation) and is reused verbatim from phase 1 when the
     // scope epoch proves it unchanged.
     ConsolPlan& plan = consol_plan_[k];
@@ -1730,49 +1592,8 @@ void Controller::consolidate() {
     const bool plan_fresh = plan.computed && plan.sig == sig &&
                             local_scope != hier::kNoNode &&
                             plan.scope_epoch == subtree_epoch_[local_scope];
-    if (!plan_fresh) {
-      plan.items.clear();
-      for (const auto& a : srv.apps()) {
-        plan.items.push_back({a.id(), s,
-                              (a.dropped() ? Watts{0.0} : a.demand()) +
-                                  config_.migration_cost,
-                              a.dropped() ? Watts{0.0} : a.demand(),
-                              MigrationCause::kConsolidation,
-                              obs::Reason::kConsolidation});
-      }
-    }
-    std::vector<PlanItem>& items = plan.items;
-    auto collect_targets = [&](NodeId scope) -> const std::vector<NodeId>& {
-      target_scratch_.clear();
-      const SubtreeSpan span = arena.subtree(scope);
-      for (std::uint32_t k = 0; k < span.size(); ++k) {
-        const NodeId t = arena.node_of(span[k]);
-        if (t == s) continue;
-        if (!tree.node(t).active()) continue;
-        if (!eligible_target(t, scope)) continue;
-        target_scratch_.push_back(t);
-      }
-      return target_scratch_;
-    };
-    // Fills bin_node_scratch_ as a side effect; consumed by the apply loop.
-    auto dry_run = [&](const std::vector<NodeId>& targets) {
-      bp_items_scratch_.clear();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        bp_items_scratch_.push_back({i, items[i].size.value(), 0});
-      }
-      bp_bins_scratch_.clear();
-      bin_node_scratch_.clear();
-      for (NodeId t : targets) {
-        const Watts cap = target_capacity(t);
-        if (cap.value() > kEps) {
-          bp_bins_scratch_.push_back(
-              {static_cast<std::uint64_t>(t), cap.value(), 0});
-          bin_node_scratch_.push_back(t);
-        }
-      }
-      return binpack::pack(bp_items_scratch_, bp_bins_scratch_,
-                           config_.packing);
-    };
+    if (!plan_fresh) consol_items(ci, &plan.items);
+    const std::vector<PlanItem>& items = plan.items;
     // Fleet-scope fast path: reproduce pack(kFfdlr)'s verdict from the shared
     // capacity index instead of rebuilding all fleet bins per candidate.  The
     // virtual groups depend only on the items and cmax; each group then lands
@@ -1794,12 +1615,9 @@ void Controller::consolidate() {
         }
       }
       if (cmax <= 0.0) return false;  // no usable bin anywhere in the fleet
-      bp_items_scratch_.clear();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        bp_items_scratch_.push_back({i, items[i].size.value(), 0});
-      }
+      fill_pack_items(items, pack_scratch_.items);
       const binpack::VirtualGroups vg =
-          binpack::ffdlr_virtual_groups(bp_items_scratch_, cmax);
+          binpack::ffdlr_virtual_groups(pack_scratch_.items, cmax);
       if (!vg.oversized.empty()) return false;  // unplaceable regardless
       fast_assign_scratch_.clear();
       // Bins this plan already used, as (node, residual) in touch order, and
@@ -1914,61 +1732,30 @@ void Controller::consolidate() {
         const bool verdict = fast_root_pack();
         ++n_batched;
         if (config_.shadow_diff) {
-          const auto full = dry_run(collect_targets(root));
-          bool mismatch = full.all_placed() != verdict;
-          if (!mismatch && verdict) {
-            mismatch = full.assignments.size() != fast_assign_scratch_.size();
-            for (std::size_t j = 0;
-                 !mismatch && j < fast_assign_scratch_.size(); ++j) {
-              mismatch =
-                  full.assignments[j].item != fast_assign_scratch_[j].first ||
-                  bin_node_scratch_[full.assignments[j].bin] !=
-                      fast_assign_scratch_[j].second;
-            }
-            if (!mismatch) {
-              // The full result drives the apply loop below in shadow mode;
-              // keep the two plans interchangeable bit for bit.
-              fast_assign_scratch_.clear();
-              for (const auto& a : full.assignments) {
-                fast_assign_scratch_.emplace_back(a.item,
-                                                  bin_node_scratch_[a.bin]);
-              }
-            }
-          }
-          count_shadow_check(mismatch);
-          if (mismatch) {
-            throw std::logic_error(
-                "Controller shadow diff: consolidation fast path diverged "
-                "for server " +
-                std::to_string(s));
-          }
+          // A placed-all verdict must also reproduce the full plan exactly.
+          const bool full = scope_dry_run(root, s, items, pack_scratch_,
+                                          shadow_assign_scratch_);
+          shadow_verify(full != verdict ||
+                            (verdict &&
+                             shadow_assign_scratch_ != fast_assign_scratch_),
+                        "consolidation fast path diverged", s);
         }
         return verdict;
       }
-      const auto result = dry_run(collect_targets(scope));
-      fast_assign_scratch_.clear();
-      for (const auto& a : result.assignments) {
-        fast_assign_scratch_.emplace_back(a.item, bin_node_scratch_[a.bin]);
-      }
-      return result.all_placed();
+      return scope_dry_run(scope, s, items, pack_scratch_,
+                           fast_assign_scratch_);
     };
 
     NodeId scope = config_.prefer_local ? local_scope : root;
     bool placed_all = false;
-    if (inc && scope != root && consol_fail_local_[ci].valid &&
-        consol_fail_local_[ci].epoch == subtree_epoch_[scope] &&
-        consol_fail_local_[ci].item_sig == sig) {
+    if (inc && scope != root &&
+        consol_fail_local_[ci].holds(subtree_epoch_[scope], sig)) {
       // Known local failure at this scope epoch: go straight to fleet scope.
       ++reused;
       if (config_.shadow_diff) {
-        const auto check = dry_run(collect_targets(scope));
-        count_shadow_check(check.all_placed());
-        if (check.all_placed()) {
-          throw std::logic_error(
-              "Controller shadow diff: cached local consolidation failure for "
-              "server " +
-              std::to_string(s) + " now succeeds");
-        }
+        shadow_verify(scope_dry_run(scope, s, items, pack_scratch_,
+                                    shadow_assign_scratch_),
+                      "cached local consolidation failure now succeeds", s);
       }
       scope = root;
       placed_all = run_scope(scope);
@@ -1977,7 +1764,7 @@ void Controller::consolidate() {
         // Phase-1 verdict still valid: nothing under the scope moved since
         // the precompute, so a serial dry run would reproduce it bitwise.
         placed_all = plan.placed_all;
-        fast_assign_scratch_.assign(plan.assign.begin(), plan.assign.end());
+        fast_assign_scratch_ = plan.assign;
       } else {
         placed_all = run_scope(scope);
       }
@@ -1987,22 +1774,18 @@ void Controller::consolidate() {
         placed_all = run_scope(scope);
       }
     }
+    if (cached_root_fail) {
+      // Shadow mode re-ran a cached fleet-scope failure: it must fail again.
+      shadow_verify(placed_all,
+                    "cached root consolidation failure now succeeds", s);
+    }
     if (!placed_all) {
       if (scope == root) {
         consol_fail_root_[ci] = {subtree_epoch_[root], sig, true};
       } else {
         consol_fail_local_[ci] = {subtree_epoch_[scope], sig, true};
       }
-      if (cached_root_fail) count_shadow_check(false);  // verdict held
       continue;
-    }
-    if (cached_root_fail) {
-      // Shadow mode re-ran a cached fleet-scope failure and it placed.
-      count_shadow_check(true);
-      throw std::logic_error(
-          "Controller shadow diff: cached root consolidation failure for "
-          "server " +
-          std::to_string(s) + " now succeeds");
     }
     for (const auto& [item_idx, tgt] : fast_assign_scratch_) {
       apply_migration(items[item_idx], tgt);
@@ -2052,12 +1835,9 @@ void Controller::revive_dropped() {
         }
         if (mismatch) break;
       }
-      count_shadow_check(mismatch);
-      if (mismatch) {
-        throw std::logic_error(
-            "Controller shadow diff: revive scan skipped while dropped or "
-            "degraded applications exist");
-      }
+      shadow_verify(mismatch,
+                    "revive scan skipped while dropped or degraded "
+                    "applications exist");
     }
     return;
   }
@@ -2107,8 +1887,6 @@ void Controller::revive_dropped() {
         revived_any = true;
         headroom -= a->effective_mean_power();
         ++stats_.revivals;
-        events_this_tick_.push_back({EventKind::kRevive, tick_, a->id(), s,
-                                     hier::kNoNode, a->effective_mean_power()});
         if (bus_ != nullptr && bus_->enabled()) {
           bus_->emit(make_event(obs::EventType::kRevive, s, hier::kNoNode,
                                 a->id(), obs::Reason::kNone,
@@ -2149,8 +1927,6 @@ void Controller::revive_dropped() {
         restored_any = true;
         headroom -= gain;
         ++stats_.restores;
-        events_this_tick_.push_back(
-            {EventKind::kRestore, tick_, a->id(), s, hier::kNoNode, gain});
         if (bus_ != nullptr && bus_->enabled()) {
           bus_->emit(make_event(obs::EventType::kRestore, s, hier::kNoNode,
                                 a->id(), obs::Reason::kNone, gain.value()));

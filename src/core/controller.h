@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "binpack/pack.h"
+#include "core/allocation.h"
 #include "core/balance.h"
 #include "core/cluster.h"
 #include "fault/link_faults.h"
@@ -179,32 +180,6 @@ struct MigrationRecord {
   bool local = false;  ///< source and target share a parent
 };
 
-/// One entry of the controller's per-tick decision log.  Every action the
-/// controller takes is recorded; `migrations_this_tick()` remains the
-/// migration-specific view.
-enum class EventKind {
-  kMigrationInitiated,  ///< node = source, node2 = target
-  kMigrationCompleted,  ///< latency mode: transfer landed (node2 = target)
-  kDrop,                ///< application shut down (degraded mode)
-  kDegrade,             ///< service level reduced; amount = released W
-  kRevive,              ///< dropped application brought back
-  kRestore,             ///< service level restored to full
-  kSleep,               ///< server deactivated (node)
-  kWake,                ///< server woken for unplaceable demand (node)
-};
-
-struct ControlEvent {
-  EventKind kind;
-  long tick = 0;
-  workload::AppId app = 0;     ///< 0 for server-level events
-  NodeId node = hier::kNoNode;
-  NodeId node2 = hier::kNoNode;
-  Watts amount{0.0};           ///< demand moved / released / restored
-};
-
-/// Human-readable one-liner for logs and the CLI.
-[[nodiscard]] std::string to_string(const ControlEvent& event);
-
 struct ControllerStats {
   std::uint64_t demand_migrations = 0;
   std::uint64_t consolidation_migrations = 0;
@@ -238,11 +213,6 @@ class Controller {
     return migrations_this_tick_;
   }
 
-  /// Every decision taken during the most recent tick(), in order.
-  [[nodiscard]] const std::vector<ControlEvent>& events_this_tick() const {
-    return events_this_tick_;
-  }
-
   /// Observer invoked for every applied migration (e.g. fabric accounting).
   void set_migration_sink(std::function<void(const MigrationRecord&)> sink) {
     sink_ = std::move(sink);
@@ -252,8 +222,10 @@ class Controller {
   /// the controller takes — migrations with reason codes (supply deficit /
   /// thermal / consolidation), thermal throttles, budget directives, drops,
   /// degrades, sleeps, wakes — is emitted as a typed event, and packing
-  /// attempts feed the bus's metrics registry.  The controller is serial, so
-  /// all emission goes through EventBus::emit.
+  /// attempts feed the bus's metrics registry.  The bus is the controller's
+  /// only decision log: attach an obs::RingBufferSink to inspect a tick's
+  /// decisions.  The controller is serial, so all emission goes through
+  /// EventBus::emit.
   void set_event_bus(obs::EventBus* bus) {
     bus_ = bus;
     resolve_instruments();
@@ -352,10 +324,14 @@ class Controller {
   /// (fail-safe toward thermal limits, never above) — the budget-side twin
   /// of enforce_thermal_limits, with identical dirtying mechanics.
   void apply_fallback_budgets();
-  /// Apply one directive to `id` with full bookkeeping (event, tree
-  /// accounting, dirty marks, budget_reduced on decrease).  Shared by the
-  /// normal supply pass and the retry queue.
-  void deliver_directive(NodeId id, Watts budget);
+  /// Send one directive down `id`'s link, shared by the supply pass and the
+  /// retry queue: draw the link verdict, and on loss count and trace the
+  /// drop and return false; otherwise apply it with full bookkeeping (event,
+  /// tree accounting, dirty marks, budget_reduced on decrease), apply a
+  /// duplicate copy's accounting, add the delivered messages to `directives`
+  /// and return true.  The root's assignment crosses no link: it is never
+  /// lost and never counted.
+  bool send_directive(NodeId id, Watts budget, std::uint64_t& directives);
   /// A directive to `id` was lost; remember it for bounded-backoff retry and
   /// keep the dividing parent dirty so supply passes re-derive it.
   void queue_directive_retry(NodeId id, Watts budget);
@@ -411,11 +387,20 @@ class Controller {
   /// both walk modes (it memoizes a pure function).
   [[nodiscard]] Watts leaf_limit(std::size_t server_index);
 
-  /// Shadow-diff helpers: re-derive a skipped decision from scratch and throw
-  /// std::logic_error on any bitwise mismatch.
-  void shadow_check_division(NodeId id);
-  void shadow_check_hard_limit(NodeId id);
-  void count_shadow_check(bool mismatch);
+  /// Internal node `id`'s hard limit: the sum of its active children's
+  /// limits, capped by the group's circuit rating.  The roll-up and its
+  /// shadow check both derive it here.
+  [[nodiscard]] Watts rolled_up_hard_limit(NodeId id) const;
+
+  /// Divide `id`'s budget among its children (Sec. IV-D) from their current
+  /// demands and capacities.  The supply pass and its shadow check both
+  /// derive the division here.
+  [[nodiscard]] AllocationResult divide(NodeId id);
+
+  /// Shadow-diff verdict: count one audited skip, and throw std::logic_error
+  /// naming `what` (and `node`, if given) when the re-derivation mismatched.
+  void shadow_verify(bool mismatch, const char* what,
+                     NodeId node = hier::kNoNode);
 
   void resolve_instruments();
 
@@ -442,7 +427,14 @@ class Controller {
     bool eligible = false;
     double utilization = 0.0;
     double envelope = 0.0;  ///< server's own sustainable dynamic power
+
+    bool operator==(const ConsolEntry&) const = default;
   };
+  /// Judge server `i` as a consolidation candidate against `fleet_envelope`
+  /// (used under the thermal utilization reference).  The index refresh and
+  /// its shadow check both derive the entry here.
+  [[nodiscard]] ConsolEntry judge_consol_entry(std::size_t i,
+                                               double fleet_envelope) const;
   std::vector<ConsolEntry> consol_entry_;             ///< by server index
   std::vector<std::uint64_t> consol_entry_epoch_;     ///< by server index
   std::vector<double> server_envelope_;               ///< by server index
@@ -463,6 +455,13 @@ class Controller {
     std::uint64_t epoch = 0;
     std::uint64_t item_sig = 0;
     bool valid = false;
+
+    /// Whether this verdict answers a dry run at `scope_epoch` with items
+    /// fingerprinted `sig`.
+    [[nodiscard]] bool holds(std::uint64_t scope_epoch,
+                             std::uint64_t sig) const {
+      return valid && epoch == scope_epoch && item_sig == sig;
+    }
   };
   std::vector<ConsolFail> consol_fail_local_;  ///< by server index
   std::vector<ConsolFail> consol_fail_root_;   ///< by server index
@@ -535,7 +534,6 @@ class Controller {
   std::vector<char> thermally_clamped_;
   Watts root_unallocated_{0.0};
   std::vector<MigrationRecord> migrations_this_tick_;
-  std::vector<ControlEvent> events_this_tick_;
   /// Demand already accepted by each server during the current tick (so
   /// successive packing passes see shrunken surpluses).
   std::vector<double> absorbed_w_;
@@ -578,11 +576,43 @@ class Controller {
   // subtree spans over creation order — same membership, same iteration
   // order as the old `subtree_servers_` vectors, O(1) storage per node.)
 
-  /// Packing scratch reused across pack_and_apply / dry-run calls (cleared
-  /// per use; sized once the fleet's steady-state planning width is seen).
-  std::vector<binpack::Item> bp_items_scratch_;
-  std::vector<binpack::Bin> bp_bins_scratch_;
-  std::vector<NodeId> bin_node_scratch_;
+  /// One packing problem's buffers: the items, the bins and each bin's
+  /// server.  The serial paths reuse `pack_scratch_` (cleared per use);
+  /// consolidation's parallel dry runs give each worker its own.
+  struct PackBuffers {
+    std::vector<binpack::Item> items;
+    std::vector<binpack::Bin> bins;
+    std::vector<NodeId> bin_nodes;
+  };
+  /// A placement plan: (item index, target server) in pack()'s emission
+  /// order.
+  using Assignments = std::vector<std::pair<std::size_t, NodeId>>;
+
+  /// Fill `out` with one pack item per plan item (key = index, size).
+  static void fill_pack_items(const std::vector<PlanItem>& items,
+                              std::vector<binpack::Item>& out);
+  /// Append `t` as a bin if its target capacity is positive.
+  void add_bin(NodeId t, PackBuffers& buf) const;
+
+  // ---- consolidation candidate preparation --------------------------------
+  // Shared by the parallel local dry runs and the serial drain; const and
+  // buffer-parameterized so workers can call them concurrently.
+
+  /// Whether candidate server `ci` must sit this pass out: it received a
+  /// migration this tick, or transfers in either direction touch it.
+  [[nodiscard]] bool consol_skip(std::size_t ci) const;
+  /// Fingerprint of what draining server `ci` would move (each hosted app's
+  /// identity and live demand); also fills `items` with the drain plan's
+  /// items when non-null.
+  std::uint64_t consol_items(std::size_t ci,
+                             std::vector<PlanItem>* items) const;
+  /// Dry-run draining `items` off `exclude` into the eligible servers under
+  /// `scope`.  The plan lands in `assign`; returns whether all items placed.
+  bool scope_dry_run(NodeId scope, NodeId exclude,
+                     const std::vector<PlanItem>& items, PackBuffers& buf,
+                     Assignments& assign) const;
+
+  PackBuffers pack_scratch_;
   std::vector<NodeId> target_scratch_;
   std::vector<const workload::Application*> victim_scratch_;
   std::vector<workload::Application*> shed_scratch_;
@@ -603,7 +633,9 @@ class Controller {
   std::vector<double> consol_cap_of_;        ///< by slot; <0 = not indexed
   std::vector<char> consol_root_eligible_;   ///< by slot (unidirectional rule)
   bool consol_index_built_ = false;
-  std::vector<std::pair<std::size_t, NodeId>> fast_assign_scratch_;
+  Assignments fast_assign_scratch_;
+  /// Shadow mode's full dry-run plan, compared against the one in use.
+  Assignments shadow_assign_scratch_;
   /// Fast-path pack scratch: bins the current candidate's plan already
   /// touched, as (target, residual) in touch order, and the item indices that
   /// fell out of whole-group placement (pack()'s leftover best-fit inputs).
@@ -619,7 +651,7 @@ class Controller {
   /// recompute would reproduce it bitwise.
   struct ConsolPlan {
     std::vector<PlanItem> items;
-    std::vector<std::pair<std::size_t, NodeId>> assign;
+    Assignments assign;
     std::uint64_t sig = 0;
     std::uint64_t scope_epoch = 0;
     bool placed_all = false;

@@ -1,8 +1,13 @@
-// The controller's per-tick decision log: every action appears, in order,
-// with a readable rendering.
+// The controller's decision log is the event bus: every action appears, in
+// order, stamped with the tick the driver set, with a readable rendering.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/controller.h"
+#include "obs/sink.h"
 
 namespace willow::core {
 namespace {
@@ -21,16 +26,39 @@ ServerConfig lax_server() {
   return cfg;
 }
 
+/// The eight decision types the controller emits (the rest of its events are
+/// budget directives, clamps and fault bookkeeping).
+bool is_decision(obs::EventType type) {
+  switch (type) {
+    case obs::EventType::kMigration:
+    case obs::EventType::kMigrationLanded:
+    case obs::EventType::kDrop:
+    case obs::EventType::kDegrade:
+    case obs::EventType::kRevive:
+    case obs::EventType::kRestore:
+    case obs::EventType::kSleep:
+    case obs::EventType::kWake:
+      return true;
+    default:
+      return false;
+  }
+}
+
 struct Fixture {
   Cluster cluster{1.0};
   NodeId root, rack, s00, s01;
   workload::AppIdAllocator ids;
+  obs::EventBus bus;
+  std::shared_ptr<obs::RingBufferSink> ring =
+      std::make_shared<obs::RingBufferSink>(4096);
+  long next_tick = 0;
 
   Fixture() {
     root = cluster.add_root("dc");
     rack = cluster.add_group(root, "rack");
     s00 = cluster.add_server(rack, "s00", lax_server());
     s01 = cluster.add_server(rack, "s01", lax_server());
+    bus.add_sink(ring);
   }
 
   workload::AppId host(NodeId server, double watts) {
@@ -46,29 +74,47 @@ struct Fixture {
     cfg.allocation = AllocationPolicy::kProportionalToCapacity;
     return cfg;
   }
-};
 
-std::size_t count(const std::vector<ControlEvent>& events, EventKind kind) {
-  std::size_t n = 0;
-  for (const auto& e : events) n += e.kind == kind ? 1 : 0;
-  return n;
-}
+  /// One controller tick, with the bus tick set first the way the simulator
+  /// sets it (0-based loop index).
+  void step(Controller& ctl, Watts supply) {
+    bus.set_tick(next_tick++);
+    ctl.tick(supply);
+  }
+
+  /// Decisions taken during the most recent step(), in emission order.
+  std::vector<obs::Event> decisions() const {
+    std::vector<obs::Event> out;
+    for (const auto& e : ring->events()) {
+      if (e.tick == next_tick - 1 && is_decision(e.type)) out.push_back(e);
+    }
+    return out;
+  }
+
+  std::size_t count(obs::EventType type) const {
+    std::size_t n = 0;
+    for (const auto& e : decisions()) n += e.type == type ? 1 : 0;
+    return n;
+  }
+};
 
 TEST(EventLog, MigrationInitiatedRecorded) {
   Fixture f;
   const auto app = f.host(f.s00, 50.0);
   f.host(f.s00, 50.0);
   Controller ctl(f.cluster, f.config());
-  ctl.tick(200_W);
-  const auto& events = ctl.events_this_tick();
-  ASSERT_EQ(count(events, EventKind::kMigrationInitiated), 1u);
-  const auto& e = events.front();
-  EXPECT_EQ(e.kind, EventKind::kMigrationInitiated);
+  ctl.set_event_bus(&f.bus);
+  f.step(ctl, 200_W);
+  ASSERT_EQ(f.count(obs::EventType::kMigration), 1u);
+  const auto e = f.decisions().front();
+  EXPECT_EQ(e.type, obs::EventType::kMigration);
   EXPECT_EQ(e.node, f.s00);
   EXPECT_EQ(e.node2, f.s01);
-  EXPECT_EQ(e.tick, 1);
-  EXPECT_TRUE(e.app == app || e.app != 0);
-  EXPECT_DOUBLE_EQ(e.amount.value(), 50.0);
+  EXPECT_EQ(e.tick, 0);
+  // Victims are ordered by demand with an app-id tie-break, so of two equal
+  // apps the first-hosted one moves.
+  EXPECT_EQ(e.app, app);
+  EXPECT_DOUBLE_EQ(e.value, 50.0);
 }
 
 TEST(EventLog, DropAndReviveRecorded) {
@@ -76,12 +122,13 @@ TEST(EventLog, DropAndReviveRecorded) {
   f.host(f.s00, 100.0);
   f.host(f.s01, 100.0);
   Controller ctl(f.cluster, f.config());
-  ctl.tick(100_W);  // starve: drops
-  EXPECT_GT(count(ctl.events_this_tick(), EventKind::kDrop), 0u);
+  ctl.set_event_bus(&f.bus);
+  f.step(ctl, 100_W);  // starve: drops
+  EXPECT_GT(f.count(obs::EventType::kDrop), 0u);
   for (int t = 0; t < 8; ++t) {
     f.cluster.refresh_demands_constant();
-    ctl.tick(400_W);
-    if (count(ctl.events_this_tick(), EventKind::kRevive) > 0) break;
+    f.step(ctl, 400_W);
+    if (f.count(obs::EventType::kRevive) > 0) break;
   }
   EXPECT_GT(ctl.stats().revivals, 0u);
 }
@@ -93,13 +140,14 @@ TEST(EventLog, DegradeAndRestoreRecorded) {
   ControllerConfig cfg = f.config();
   cfg.shedding = SheddingPolicy::kDegradeThenDrop;
   Controller ctl(f.cluster, cfg);
-  ctl.tick(140_W);
-  EXPECT_GT(count(ctl.events_this_tick(), EventKind::kDegrade), 0u);
+  ctl.set_event_bus(&f.bus);
+  f.step(ctl, 140_W);
+  EXPECT_GT(f.count(obs::EventType::kDegrade), 0u);
   std::size_t restores = 0;
   for (int t = 0; t < 8; ++t) {
     f.cluster.refresh_demands_constant();
-    ctl.tick(400_W);
-    restores += count(ctl.events_this_tick(), EventKind::kRestore);
+    f.step(ctl, 400_W);
+    restores += f.count(obs::EventType::kRestore);
   }
   EXPECT_GT(restores, 0u);
 }
@@ -109,10 +157,11 @@ TEST(EventLog, SleepRecordedAtConsolidation) {
   f.host(f.s00, 170.0);
   f.host(f.s01, 20.0);
   Controller ctl(f.cluster, f.config());
+  ctl.set_event_bus(&f.bus);
   std::size_t sleeps = 0;
   for (int t = 1; t <= 7; ++t) {
-    ctl.tick(880_W);
-    sleeps += count(ctl.events_this_tick(), EventKind::kSleep);
+    f.step(ctl, 880_W);
+    sleeps += f.count(obs::EventType::kSleep);
   }
   EXPECT_EQ(sleeps, 1u);
 }
@@ -124,47 +173,64 @@ TEST(EventLog, CompletedEventInLatencyMode) {
   ControllerConfig cfg = f.config();
   cfg.migration_periods_per_gib = 2.0;  // 512 MB image -> 1 period
   Controller ctl(f.cluster, cfg);
-  ctl.tick(200_W);
-  ASSERT_EQ(count(ctl.events_this_tick(), EventKind::kMigrationInitiated), 1u);
+  ctl.set_event_bus(&f.bus);
+  f.step(ctl, 200_W);
+  ASSERT_EQ(f.count(obs::EventType::kMigration), 1u);
   std::size_t completed = 0;
   for (int t = 0; t < 3; ++t) {
     f.cluster.refresh_demands_constant();
-    ctl.tick(200_W);
-    completed += count(ctl.events_this_tick(), EventKind::kMigrationCompleted);
+    f.step(ctl, 200_W);
+    completed += f.count(obs::EventType::kMigrationLanded);
   }
   EXPECT_EQ(completed, 1u);
 }
 
-TEST(EventLog, ClearedEachTick) {
+TEST(EventLog, SteadyTickRecordsNoDecision) {
   Fixture f;
   f.host(f.s00, 50.0);
   f.host(f.s00, 50.0);
   Controller ctl(f.cluster, f.config());
-  ctl.tick(200_W);
-  ASSERT_FALSE(ctl.events_this_tick().empty());
+  ctl.set_event_bus(&f.bus);
+  f.step(ctl, 200_W);
+  ASSERT_FALSE(f.decisions().empty());
   f.cluster.refresh_demands_constant();
-  ctl.tick(200_W);  // steady state: nothing to do
-  EXPECT_TRUE(ctl.events_this_tick().empty());
+  f.step(ctl, 200_W);  // steady state: nothing to do
+  EXPECT_TRUE(f.decisions().empty());
 }
 
-TEST(EventLog, ToStringRendersEveryKind) {
-  ControlEvent e;
+TEST(EventLog, DescribeRendersEveryDecisionType) {
+  obs::Event e;
   e.tick = 3;
   e.app = 7;
   e.node = 2;
   e.node2 = 5;
-  e.amount = 12_W;
-  for (auto kind : {EventKind::kMigrationInitiated,
-                    EventKind::kMigrationCompleted, EventKind::kDrop,
-                    EventKind::kDegrade, EventKind::kRevive,
-                    EventKind::kRestore, EventKind::kSleep, EventKind::kWake}) {
-    e.kind = kind;
-    const std::string text = to_string(e);
-    EXPECT_NE(text.find("t=3"), std::string::npos);
-    EXPECT_FALSE(text.empty());
+  e.value = 12.0;
+  for (auto type : {obs::EventType::kMigration, obs::EventType::kMigrationLanded,
+                    obs::EventType::kDrop, obs::EventType::kDegrade,
+                    obs::EventType::kRevive, obs::EventType::kRestore,
+                    obs::EventType::kSleep, obs::EventType::kWake}) {
+    e.type = type;
+    const std::string text = obs::describe(e);
+    EXPECT_EQ(text.rfind("t=3 ", 0), 0u) << text;
+    EXPECT_NE(text.find(std::string(" ") + obs::to_string(type) + " "),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find(" node=2"), std::string::npos) << text;
+    EXPECT_NE(text.find(" node2=5"), std::string::npos) << text;
+    EXPECT_NE(text.find(" app=7"), std::string::npos) << text;
   }
-  e.kind = EventKind::kDrop;
-  EXPECT_NE(to_string(e).find("drop app 7"), std::string::npos);
+  e.type = obs::EventType::kDrop;
+  e.reason = obs::Reason::kShedding;
+  EXPECT_EQ(obs::describe(e),
+            "t=3 drop node=2 node2=5 app=7 reason=shedding value=12");
+  // Server-level decisions carry no app and no second node.
+  obs::Event sleep;
+  sleep.type = obs::EventType::kSleep;
+  sleep.tick = 4;
+  sleep.node = 9;
+  sleep.reason = obs::Reason::kConsolidation;
+  EXPECT_EQ(obs::describe(sleep),
+            "t=4 sleep node=9 reason=consolidation value=0");
 }
 
 }  // namespace
