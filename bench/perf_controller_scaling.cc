@@ -2,7 +2,7 @@
 // full recompute vs change-driven walks.
 //
 // For every configuration the simulation runs twice — once with
-// incremental_control off (the controller re-walks the whole PMU tree each
+// controller.incremental off (the controller re-walks the whole PMU tree each
 // tick) and once on (dirty-set aggregation, memoized budget division,
 // packing reuse).  The two runs must produce identical results (asserted via
 // a determinism checksum); only the controller's wall time may differ.  The
@@ -53,7 +53,7 @@ sim::SimConfig sweep_config(const Fleet& fleet, const Churn& churn,
   cfg.measure_ticks = churn.measure;
   cfg.churn_probability = churn.probability;
   cfg.demand_quantum = util::Watts{churn.demand_quantum_w};
-  cfg.incremental_control = incremental;
+  cfg.controller.incremental = incremental;
   cfg.threads = 0;  // sim phases on all cores; the controller phase is serial
   return cfg;
 }

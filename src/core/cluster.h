@@ -207,25 +207,11 @@ class Cluster {
                    hier::NodeKind kind = hier::NodeKind::kRack);
   NodeId add_server(NodeId parent, std::string name, const ServerConfig& cfg);
 
-  /// The dense server index: handle resolution, NodeId <-> slot mapping and
-  /// subtree spans.  The arena's slot order is server-creation order and is
-  /// the index space of server_at().
+  /// The dense server index: NodeId <-> slot mapping and subtree spans.  The
+  /// arena's slot order is server-creation order and is the index space of
+  /// server_at().
   [[nodiscard]] const ServerArena& arena() const { return arena_; }
   [[nodiscard]] ServerArena& arena() { return arena_; }
-
-  /// Handle for the server at PMU leaf `id` (invalid handle if not a server).
-  [[nodiscard]] ServerHandle handle(NodeId id) const { return arena_.find(id); }
-  /// Generation-checked handle access (throws std::out_of_range on a stale
-  /// or invalid handle).
-  [[nodiscard]] ManagedServer& server(ServerHandle h) {
-    return servers_[arena_.checked_slot(h)];
-  }
-  [[nodiscard]] const ManagedServer& server(ServerHandle h) const {
-    return servers_[arena_.checked_slot(h)];
-  }
-  [[nodiscard]] NodeId node_of(ServerHandle h) const {
-    return arena_.node_of(arena_.checked_slot(h));
-  }
 
   [[nodiscard]] const std::vector<NodeId>& server_ids() const {
     return arena_.nodes();
@@ -251,12 +237,8 @@ class Cluster {
   /// Place a new application on a server.
   void place(Application app, NodeId server);
 
-  /// Locate an application; returns the hosting server's handle (invalid
-  /// handle when unknown).
-  [[nodiscard]] ServerHandle host_handle_of(AppId app) const;
-  /// Hosting server's PMU leaf, or kNoNode when unknown.  The NodeId twin of
-  /// host_handle_of(): IPC flow accounting and the controller's in-flight
-  /// landing check key on it.
+  /// Hosting server's PMU leaf, or kNoNode when unknown.  IPC flow
+  /// accounting and the controller's in-flight landing check key on it.
   [[nodiscard]] NodeId host_of(AppId app) const;
   [[nodiscard]] Application* find_app(AppId app);
   [[nodiscard]] const Application* find_app(AppId app) const;
@@ -355,9 +337,9 @@ class Cluster {
 
  private:
   hier::Tree tree_;
-  ServerArena arena_;                   ///< slot/handle index; see arena.h
+  ServerArena arena_;                   ///< slot index; see arena.h
   std::vector<ManagedServer> servers_;  ///< payload, parallel to arena slots
-  std::unordered_map<AppId, ServerHandle> app_host_;
+  std::unordered_map<AppId, std::uint32_t> app_host_;  ///< app -> host slot
   std::unordered_map<NodeId, Watts> group_circuit_limits_;
   obs::EventBus* bus_ = nullptr;
 };

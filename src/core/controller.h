@@ -141,7 +141,8 @@ struct ControllerConfig {
   /// consolidation candidates and cached packing failures.  Semantically
   /// identical to the full recompute (same budgets, same migrations, same
   /// event trace); `shadow_diff` asserts that.  Disable to benchmark the full
-  /// walk or to rule the machinery out while debugging.
+  /// walk or to rule the machinery out while debugging.  Scenario key
+  /// `incremental_control`.
   bool incremental = true;
   /// Dead-band (W) on demand reports: a node re-reports to its parent only
   /// when its smoothed demand moved more than this since its last report.
@@ -150,7 +151,8 @@ struct ControllerConfig {
   /// must also be too small to trigger migrations (Property 4).
   Watts report_deadband{0.0};
   /// Debug shadow mode: every skip the incremental path takes is re-derived
-  /// from scratch; any bitwise divergence throws std::logic_error.
+  /// from scratch; any bitwise divergence throws std::logic_error.  Scenario
+  /// key `shadow_diff`.
   bool shadow_diff = false;
   /// Degraded mode (docs/fault_model.md): ticks of demand-report silence
   /// after which a server is treated as dark — its last-known-good demand is

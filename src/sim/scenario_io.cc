@@ -1,6 +1,9 @@
 #include "sim/scenario_io.h"
 
+#include <cmath>
+#include <concepts>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -30,11 +33,23 @@ double parse_double(const std::string& text, int line) {
   }
 }
 
-long parse_long(const std::string& text, int line) {
+/// The one integer conversion behind every integer key: the number must be
+/// whole and inside T's range, checked on the double before the cast (casting
+/// an out-of-range double is undefined behaviour, and a cast through a wider
+/// type wraps or truncates).
+template <std::integral T>
+T parse_int(const std::string& text, int line) {
   const double v = parse_double(text, line);
-  const long l = static_cast<long>(v);
-  if (static_cast<double>(l) != v) fail(line, "expected an integer, got '" + text + "'");
-  return l;
+  if (v != std::trunc(v)) fail(line, "expected an integer, got '" + text + "'");
+  // [min, 2^digits) is exact in double for every integer type.
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(v >= lo && v < hi)) {
+    fail(line, "integer '" + text + "' out of range [" +
+                   std::to_string(std::numeric_limits<T>::min()) + ", " +
+                   std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return static_cast<T>(v);
 }
 
 bool parse_bool(const std::string& text, int line) {
@@ -89,7 +104,7 @@ std::shared_ptr<const power::SupplyProfile> parse_supply(
         Watts{parse_double(words[1], line)},
         Watts{parse_double(words[2], line)},
         Seconds{parse_double(words[3], line)}, parse_double(words[4], line),
-        static_cast<unsigned long long>(parse_long(words[5], line)));
+        parse_int<unsigned long long>(words[5], line));
   }
   if (kind == "csv") {
     need(1);
@@ -109,6 +124,33 @@ std::shared_ptr<const power::SupplyProfile> parse_supply(
   fail(line, "unknown supply kind '" + kind + "'");
 }
 
+// constant F | diurnal base amp period [phase] | trace f1 f2 ...
+std::shared_ptr<const workload::IntensityProfile> parse_intensity(
+    const std::string& value, int line) {
+  const auto words = split_words(value);
+  if (words.empty()) fail(line, "empty intensity specification");
+  if (words[0] == "constant" && words.size() == 2) {
+    return std::make_shared<workload::ConstantIntensity>(
+        parse_double(words[1], line));
+  }
+  if (words[0] == "diurnal" && (words.size() == 4 || words.size() == 5)) {
+    return std::make_shared<workload::DiurnalIntensity>(
+        parse_double(words[1], line), parse_double(words[2], line),
+        Seconds{parse_double(words[3], line)},
+        Seconds{words.size() == 5 ? parse_double(words[4], line) : 0.0});
+  }
+  if (words[0] == "trace" && words.size() >= 2) {
+    std::vector<double> factors;
+    for (std::size_t i = 1; i < words.size(); ++i) {
+      factors.push_back(parse_double(words[i], line));
+    }
+    return std::make_shared<workload::TraceIntensity>(std::move(factors),
+                                                      Seconds{1.0});
+  }
+  fail(line, "intensity must be 'constant F', 'diurnal base amp period"
+             " [phase]' or 'trace f...'");
+}
+
 binpack::Algorithm parse_packing(const std::string& text, int line) {
   if (text == "ffdlr") return binpack::Algorithm::kFfdlr;
   if (text == "ff") return binpack::Algorithm::kFirstFit;
@@ -125,13 +167,49 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+// A key's setter writes one field; the field's type picks the conversion.
+void assign(double& field, const std::string& text, int line) {
+  field = parse_double(text, line);
+}
+void assign(bool& field, const std::string& text, int line) {
+  field = parse_bool(text, line);
+}
+template <std::integral T>
+  requires(!std::same_as<T, bool>)
+void assign(T& field, const std::string& text, int line) {
+  field = parse_int<T>(text, line);
+}
+template <typename Tag>
+void assign(util::Quantity<Tag>& field, const std::string& text, int line) {
+  field = util::Quantity<Tag>{parse_double(text, line)};
+}
+
+void assign_probability(double& field, const std::string& text, int line) {
+  field = parse_double(text, line);
+  if (field < 0.0 || field > 1.0) {
+    fail(line, "expected a probability in [0,1], got '" + text + "'");
+  }
+}
+
+const ScenarioKeyDoc* find_key(const std::string& key) {
+  for (const auto& doc : scenario_keys()) {
+    if (doc.key == key) return &doc;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
-SimConfig parse_scenario(std::istream& in) {
+struct ScenarioDraft {
   SimConfig cfg;
   // Hot-zone directives are applied after layout keys are known.
-  long hot_zone_servers = 0;
+  std::size_t hot_zone_servers = 0;
   double hot_ambient_c = 40.0;
+};
+
+SimConfig parse_scenario(std::istream& in) {
+  ScenarioDraft draft;
+  SimConfig& cfg = draft.cfg;
   // Default to the paper's constants; scenario keys can override them.
   cfg.datacenter.server.thermal.c1 = 0.08;
   cfg.datacenter.server.thermal.c2 = 0.05;
@@ -151,242 +229,20 @@ SimConfig parse_scenario(std::istream& in) {
     const std::string key = trim(text.substr(0, eq));
     const std::string value = trim(text.substr(eq + 1));
     if (key.empty() || value.empty()) fail(line, "empty key or value");
-
-    if (key == "schema_version") {
-      const long v = parse_long(value, line);
-      if (v < 1 || v > kScenarioSchemaVersion) {
-        fail(line, "unsupported schema_version " + std::to_string(v) +
-                       " (this build reads versions 1.." +
-                       std::to_string(kScenarioSchemaVersion) + ")");
-      }
-    } else if (key == "utilization") {
-      cfg.target_utilization = parse_double(value, line);
-      if (cfg.target_utilization < 0.0 || cfg.target_utilization > 1.5) {
-        fail(line, "utilization out of range");
-      }
-    } else if (key == "seed") {
-      cfg.seed = static_cast<unsigned long long>(parse_long(value, line));
-    } else if (key == "warmup_ticks") {
-      cfg.warmup_ticks = parse_long(value, line);
-    } else if (key == "measure_ticks") {
-      cfg.measure_ticks = parse_long(value, line);
-    } else if (key == "zones") {
-      cfg.datacenter.layout.zones =
-          static_cast<std::size_t>(parse_long(value, line));
-    } else if (key == "racks_per_zone") {
-      cfg.datacenter.layout.racks_per_zone =
-          static_cast<std::size_t>(parse_long(value, line));
-    } else if (key == "servers_per_rack") {
-      cfg.datacenter.layout.servers_per_rack =
-          static_cast<std::size_t>(parse_long(value, line));
-    } else if (key == "smoothing_alpha") {
-      cfg.datacenter.smoothing_alpha = parse_double(value, line);
-    } else if (key == "thermal_c1") {
-      cfg.datacenter.server.thermal.c1 = parse_double(value, line);
-    } else if (key == "thermal_c2") {
-      cfg.datacenter.server.thermal.c2 = parse_double(value, line);
-    } else if (key == "ambient_c") {
-      cfg.datacenter.server.thermal.ambient =
-          util::Celsius{parse_double(value, line)};
-    } else if (key == "thermal_limit_c") {
-      cfg.datacenter.server.thermal.limit =
-          util::Celsius{parse_double(value, line)};
-    } else if (key == "nameplate_w") {
-      cfg.datacenter.server.thermal.nameplate =
-          Watts{parse_double(value, line)};
-    } else if (key == "hot_zone_servers") {
-      hot_zone_servers = parse_long(value, line);
-    } else if (key == "hot_ambient_c") {
-      hot_ambient_c = parse_double(value, line);
-    } else if (key == "margin_w") {
-      cfg.controller.margin = Watts{parse_double(value, line)};
-    } else if (key == "migration_cost_w") {
-      cfg.controller.migration_cost = Watts{parse_double(value, line)};
-    } else if (key == "eta1") {
-      cfg.controller.eta1 = static_cast<int>(parse_long(value, line));
-    } else if (key == "eta2") {
-      cfg.controller.eta2 = static_cast<int>(parse_long(value, line));
-    } else if (key == "consolidation_threshold") {
-      cfg.controller.consolidation_threshold = parse_double(value, line);
-    } else if (key == "packing") {
-      cfg.controller.packing = parse_packing(value, line);
-    } else if (key == "allocation") {
-      if (value == "demand") {
-        cfg.controller.allocation = core::AllocationPolicy::kProportionalToDemand;
-      } else if (value == "capacity") {
-        cfg.controller.allocation =
-            core::AllocationPolicy::kProportionalToCapacity;
-      } else {
-        fail(line, "allocation must be 'demand' or 'capacity'");
-      }
-    } else if (key == "prefer_local") {
-      cfg.controller.prefer_local = parse_bool(value, line);
-    } else if (key == "enforce_unidirectional") {
-      cfg.controller.enforce_unidirectional = parse_bool(value, line);
-    } else if (key == "shedding") {
-      if (value == "drop") {
-        cfg.controller.shedding = core::SheddingPolicy::kDropWhole;
-      } else if (value == "degrade") {
-        cfg.controller.shedding = core::SheddingPolicy::kDegradeThenDrop;
-      } else {
-        fail(line, "shedding must be 'drop' or 'degrade'");
-      }
-    } else if (key == "degraded_service_level") {
-      cfg.controller.degraded_service_level = parse_double(value, line);
-    } else if (key == "priority_levels") {
-      cfg.mix.priority_levels = static_cast<int>(parse_long(value, line));
-    } else if (key == "demand_quantum_w") {
-      cfg.demand_quantum = Watts{parse_double(value, line)};
-    } else if (key == "ipc_chain_fraction") {
-      cfg.ipc_chain_fraction = parse_double(value, line);
-    } else if (key == "ipc_flow_units") {
-      cfg.ipc_flow_units = parse_double(value, line);
-    } else if (key == "supply") {
-      cfg.supply = parse_supply(value, line);
-    } else if (key == "intensity") {
-      // constant F | diurnal base amp period [phase] | trace f1 f2 ...
-      const auto words = split_words(value);
-      if (words.empty()) fail(line, "empty intensity specification");
-      if (words[0] == "constant" && words.size() == 2) {
-        cfg.intensity = std::make_shared<workload::ConstantIntensity>(
-            parse_double(words[1], line));
-      } else if (words[0] == "diurnal" &&
-                 (words.size() == 4 || words.size() == 5)) {
-        cfg.intensity = std::make_shared<workload::DiurnalIntensity>(
-            parse_double(words[1], line), parse_double(words[2], line),
-            Seconds{parse_double(words[3], line)},
-            Seconds{words.size() == 5 ? parse_double(words[4], line) : 0.0});
-      } else if (words[0] == "trace" && words.size() >= 2) {
-        std::vector<double> factors;
-        for (std::size_t i = 1; i < words.size(); ++i) {
-          factors.push_back(parse_double(words[i], line));
-        }
-        cfg.intensity = std::make_shared<workload::TraceIntensity>(
-            std::move(factors), Seconds{1.0});
-      } else {
-        fail(line, "intensity must be 'constant F', 'diurnal base amp period"
-                   " [phase]' or 'trace f...'");
-      }
-    } else if (key == "sla_inflation") {
-      cfg.sla_inflation = parse_double(value, line);
-    } else if (key == "report_loss_probability") {
-      cfg.report_loss_probability = parse_double(value, line);
-      if (cfg.report_loss_probability < 0.0 ||
-          cfg.report_loss_probability > 1.0) {
-        fail(line, "report_loss_probability must be in [0,1]");
-      }
-    } else if (key == "churn_probability") {
-      cfg.churn_probability = parse_double(value, line);
-      if (cfg.churn_probability < 0.0 || cfg.churn_probability > 1.0) {
-        fail(line, "churn_probability must be in [0,1]");
-      }
-    } else if (key == "incremental_control") {
-      cfg.incremental_control = parse_bool(value, line);
-    } else if (key == "shadow_diff") {
-      cfg.shadow_diff = parse_bool(value, line);
-    } else if (key == "report_deadband_w") {
-      cfg.controller.report_deadband = Watts{parse_double(value, line)};
-    } else if (key == "threads") {
-      const long v = parse_long(value, line);
-      if (v < 0) fail(line, "threads must be >= 0");
-      cfg.threads = static_cast<std::size_t>(v);
-    } else if (key == "migration_periods_per_gib") {
-      cfg.controller.migration_periods_per_gib = parse_double(value, line);
-    } else if (key == "rack_circuit_w") {
-      cfg.rack_circuit_limit = Watts{parse_double(value, line)};
-    } else if (key == "cooling_cop") {
-      power::CoolingConfig cool;
-      cool.cop_at_reference = parse_double(value, line);
-      cfg.cooling = power::CoolingModel(cool);
-    } else if (key == "link_up_loss_probability") {
-      cfg.faults.link.up_loss = parse_double(value, line);
-    } else if (key == "link_up_delay_probability") {
-      cfg.faults.link.up_delay = parse_double(value, line);
-    } else if (key == "link_up_duplicate_probability") {
-      cfg.faults.link.up_duplicate = parse_double(value, line);
-    } else if (key == "link_down_loss_probability") {
-      cfg.faults.link.down_loss = parse_double(value, line);
-    } else if (key == "link_down_duplicate_probability") {
-      cfg.faults.link.down_duplicate = parse_double(value, line);
-    } else if (key == "power_sensor_stuck_probability") {
-      cfg.faults.power_sensor.stuck_probability = parse_double(value, line);
-    } else if (key == "power_sensor_bias_probability") {
-      cfg.faults.power_sensor.bias_probability = parse_double(value, line);
-    } else if (key == "power_sensor_dropout_probability") {
-      cfg.faults.power_sensor.dropout_probability = parse_double(value, line);
-    } else if (key == "power_sensor_bias_w") {
-      cfg.faults.power_sensor.bias = parse_double(value, line);
-    } else if (key == "temp_sensor_stuck_probability") {
-      cfg.faults.temp_sensor.stuck_probability = parse_double(value, line);
-    } else if (key == "temp_sensor_bias_probability") {
-      cfg.faults.temp_sensor.bias_probability = parse_double(value, line);
-    } else if (key == "temp_sensor_dropout_probability") {
-      cfg.faults.temp_sensor.dropout_probability = parse_double(value, line);
-    } else if (key == "temp_sensor_bias_c") {
-      cfg.faults.temp_sensor.bias = parse_double(value, line);
-    } else if (key == "sensor_fault_mean_ticks") {
-      cfg.faults.sensor_fault_mean_ticks = parse_double(value, line);
-    } else if (key == "crash_probability") {
-      cfg.faults.crash_probability = parse_double(value, line);
-    } else if (key == "crash_down_ticks") {
-      cfg.faults.crash_down_ticks = parse_long(value, line);
-    } else if (key == "crash_event") {
-      // tick first_server last_server [down_ticks]
-      const auto words = split_words(value);
-      if (words.size() != 3 && words.size() != 4) {
-        fail(line, "crash_event takes 'tick first last [down_ticks]'");
-      }
-      fault::CrashEvent ev;
-      ev.tick = parse_long(words[0], line);
-      ev.first_server = static_cast<std::size_t>(parse_long(words[1], line));
-      ev.last_server = static_cast<std::size_t>(parse_long(words[2], line));
-      if (words.size() == 4) ev.down_ticks = parse_long(words[3], line);
-      cfg.faults.crash_events.push_back(ev);
-    } else if (key == "ups_failure") {
-      // first_tick last_tick (inclusive window of failed-open battery)
-      const auto words = split_words(value);
-      if (words.size() != 2) fail(line, "ups_failure takes 'first last'");
-      fault::UpsFailureWindow w;
-      w.first_tick = parse_long(words[0], line);
-      w.last_tick = parse_long(words[1], line);
-      cfg.faults.ups_failures.push_back(w);
-    } else if (key == "ups") {
-      // capacity_j max_discharge_w max_charge_w [initial_fraction]
-      const auto words = split_words(value);
-      if (words.size() != 3 && words.size() != 4) {
-        fail(line, "ups takes 'capacity_j max_discharge_w max_charge_w"
-                   " [initial_fraction]'");
-      }
-      try {
-        cfg.ups.emplace(util::Joules{parse_double(words[0], line)},
-                        Watts{parse_double(words[1], line)},
-                        Watts{parse_double(words[2], line)},
-                        words.size() == 4 ? parse_double(words[3], line) : 1.0);
-      } catch (const std::invalid_argument& e) {
-        fail(line, e.what());
-      }
-    } else if (key == "stale_timeout_ticks") {
-      cfg.controller.stale_timeout_ticks = parse_long(value, line);
-    } else if (key == "stale_decay") {
-      cfg.controller.stale_decay = parse_double(value, line);
-    } else if (key == "directive_retry_limit") {
-      cfg.controller.directive_retry_limit =
-          static_cast<int>(parse_long(value, line));
-    } else {
-      fail(line, "unknown key '" + key + "'");
-    }
+    const ScenarioKeyDoc* doc = find_key(key);
+    if (doc == nullptr) fail(line, "unknown key '" + key + "'");
+    doc->set(draft, value, line);
   }
 
-  if (hot_zone_servers > 0) {
+  if (draft.hot_zone_servers > 0) {
     const auto total = cfg.datacenter.layout.total_servers();
-    if (static_cast<std::size_t>(hot_zone_servers) > total) {
+    if (draft.hot_zone_servers > total) {
       throw std::runtime_error("scenario: hot_zone_servers exceeds fleet size");
     }
     cfg.datacenter.ambient_overrides.assign(
         total, cfg.datacenter.server.thermal.ambient);
-    for (std::size_t i = total - static_cast<std::size_t>(hot_zone_servers);
-         i < total; ++i) {
-      cfg.datacenter.ambient_overrides[i] = util::Celsius{hot_ambient_c};
+    for (std::size_t i = total - draft.hot_zone_servers; i < total; ++i) {
+      cfg.datacenter.ambient_overrides[i] = util::Celsius{draft.hot_ambient_c};
     }
   }
   try {
@@ -399,7 +255,7 @@ SimConfig parse_scenario(std::istream& in) {
     for (const auto& e : errors) msg += "\n  - " + e;
     throw std::runtime_error(msg);
   }
-  return cfg;
+  return std::move(cfg);
 }
 
 SimConfig load_scenario_file(const std::string& path) {
@@ -411,118 +267,303 @@ SimConfig load_scenario_file(const std::string& path) {
 const std::vector<ScenarioKeyDoc>& scenario_keys() {
   // Samples are chosen so concatenating every `key = sample` line yields one
   // valid scenario (scenario_keys_roundtrip_test feeds exactly that to
-  // parse_scenario).  Keep in lockstep with the if-chain above and with the
-  // key table in docs/scenario_format.md — scripts/check_docs_drift.sh
-  // cross-checks all three.
+  // parse_scenario).  scripts/check_docs_drift.sh compares this key set with
+  // the table in docs/scenario_format.md in both directions.
+  using D = ScenarioDraft;
+  using V = const std::string&;
   static const std::vector<ScenarioKeyDoc> kKeys = {
-      {"schema_version", "2", "optional dialect stamp (reject-if-newer)"},
+      {"schema_version", "2", "optional dialect stamp (reject-if-newer)",
+       [](D&, V v, int n) {
+         const long version = parse_int<long>(v, n);
+         if (version < 1 || version > kScenarioSchemaVersion) {
+           fail(n, "unsupported schema_version " + std::to_string(version) +
+                       " (this build reads versions 1.." +
+                       std::to_string(kScenarioSchemaVersion) + ")");
+         }
+       }},
       {"utilization", "0.7",
-       "offered load vs the thermally sustainable envelope"},
-      {"seed", "11", "RNG seed (workload build + demand draws)"},
-      {"warmup_ticks", "10", "ticks ignored before recording"},
-      {"measure_ticks", "120", "ticks recorded"},
-      {"zones", "2", "hierarchy shape: datacenter -> zones -> racks"},
-      {"racks_per_zone", "3", "racks per zone"},
-      {"servers_per_rack", "3", "servers per rack"},
-      {"smoothing_alpha", "0.4", "Eq. 4 EWMA weight at every PMU"},
-      {"thermal_c1", "0.08", "RC heating coefficient (degC per W per period)"},
-      {"thermal_c2", "0.05", "RC cooling rate (1/period)"},
-      {"ambient_c", "25", "baseline ambient temperature"},
-      {"thermal_limit_c", "60", "hard thermal ceiling"},
-      {"nameplate_w", "450", "electrical rating per server"},
-      {"hot_zone_servers", "4", "last N servers get the hot ambient"},
-      {"hot_ambient_c", "40", "hot-zone ambient temperature"},
-      {"margin_w", "1.5", "P_min post-migration surplus floor"},
-      {"migration_cost_w", "0.5", "temporary demand per migration endpoint"},
-      {"eta1", "3", "supply-adaptation period multiplier (DeltaS)"},
-      {"eta2", "9", "consolidation period multiplier (DeltaA)"},
+       "offered load vs the thermally sustainable envelope",
+       [](D& d, V v, int n) {
+         assign(d.cfg.target_utilization, v, n);
+         if (d.cfg.target_utilization < 0.0 ||
+             d.cfg.target_utilization > 1.5) {
+           fail(n, "utilization out of range");
+         }
+       }},
+      {"seed", "11", "RNG seed (workload build + demand draws)",
+       [](D& d, V v, int n) { assign(d.cfg.seed, v, n); }},
+      {"warmup_ticks", "10", "ticks ignored before recording",
+       [](D& d, V v, int n) { assign(d.cfg.warmup_ticks, v, n); }},
+      {"measure_ticks", "120", "ticks recorded",
+       [](D& d, V v, int n) { assign(d.cfg.measure_ticks, v, n); }},
+      {"zones", "2", "hierarchy shape: datacenter -> zones -> racks",
+       [](D& d, V v, int n) { assign(d.cfg.datacenter.layout.zones, v, n); }},
+      {"racks_per_zone", "3", "racks per zone",
+       [](D& d, V v, int n) {
+         assign(d.cfg.datacenter.layout.racks_per_zone, v, n);
+       }},
+      {"servers_per_rack", "3", "servers per rack",
+       [](D& d, V v, int n) {
+         assign(d.cfg.datacenter.layout.servers_per_rack, v, n);
+       }},
+      {"smoothing_alpha", "0.4", "Eq. 4 EWMA weight at every PMU",
+       [](D& d, V v, int n) {
+         assign(d.cfg.datacenter.smoothing_alpha, v, n);
+       }},
+      {"thermal_c1", "0.08", "RC heating coefficient (degC per W per period)",
+       [](D& d, V v, int n) {
+         assign(d.cfg.datacenter.server.thermal.c1, v, n);
+       }},
+      {"thermal_c2", "0.05", "RC cooling rate (1/period)",
+       [](D& d, V v, int n) {
+         assign(d.cfg.datacenter.server.thermal.c2, v, n);
+       }},
+      {"ambient_c", "25", "baseline ambient temperature",
+       [](D& d, V v, int n) {
+         assign(d.cfg.datacenter.server.thermal.ambient, v, n);
+       }},
+      {"thermal_limit_c", "60", "hard thermal ceiling",
+       [](D& d, V v, int n) {
+         assign(d.cfg.datacenter.server.thermal.limit, v, n);
+       }},
+      {"nameplate_w", "450", "electrical rating per server",
+       [](D& d, V v, int n) {
+         assign(d.cfg.datacenter.server.thermal.nameplate, v, n);
+       }},
+      {"hot_zone_servers", "4", "last N servers get the hot ambient",
+       [](D& d, V v, int n) { assign(d.hot_zone_servers, v, n); }},
+      {"hot_ambient_c", "40", "hot-zone ambient temperature",
+       [](D& d, V v, int n) { assign(d.hot_ambient_c, v, n); }},
+      {"margin_w", "1.5", "P_min post-migration surplus floor",
+       [](D& d, V v, int n) { assign(d.cfg.controller.margin, v, n); }},
+      {"migration_cost_w", "0.5", "temporary demand per migration endpoint",
+       [](D& d, V v, int n) { assign(d.cfg.controller.migration_cost, v, n); }},
+      {"eta1", "3", "supply-adaptation period multiplier (DeltaS)",
+       [](D& d, V v, int n) { assign(d.cfg.controller.eta1, v, n); }},
+      {"eta2", "9", "consolidation period multiplier (DeltaA)",
+       [](D& d, V v, int n) { assign(d.cfg.controller.eta2, v, n); }},
       {"consolidation_threshold", "0.5",
-       "utilization below which servers drain"},
-      {"packing", "ffdlr", "ffdlr | ff | ffd | bfd | wfd"},
-      {"allocation", "demand", "demand | capacity proportional division"},
-      {"prefer_local", "true", "local-first migration planning"},
+       "utilization below which servers drain",
+       [](D& d, V v, int n) {
+         assign(d.cfg.controller.consolidation_threshold, v, n);
+       }},
+      {"packing", "ffdlr", "ffdlr | ff | ffd | bfd | wfd",
+       [](D& d, V v, int n) {
+         d.cfg.controller.packing = parse_packing(v, n);
+       }},
+      {"allocation", "demand", "demand | capacity proportional division",
+       [](D& d, V v, int n) {
+         if (v == "demand") {
+           d.cfg.controller.allocation =
+               core::AllocationPolicy::kProportionalToDemand;
+         } else if (v == "capacity") {
+           d.cfg.controller.allocation =
+               core::AllocationPolicy::kProportionalToCapacity;
+         } else {
+           fail(n, "allocation must be 'demand' or 'capacity'");
+         }
+       }},
+      {"prefer_local", "true", "local-first migration planning",
+       [](D& d, V v, int n) { assign(d.cfg.controller.prefer_local, v, n); }},
       {"enforce_unidirectional", "true",
-       "no migrations into reduced, deficient subtrees"},
-      {"shedding", "degrade", "drop | degrade (degrade-then-drop)"},
-      {"degraded_service_level", "0.5", "service floor under degrade"},
-      {"priority_levels", "3", "shedding priority classes, assigned randomly"},
-      {"demand_quantum_w", "1", "Poisson quantum (variance knob)"},
+       "no migrations into reduced, deficient subtrees",
+       [](D& d, V v, int n) {
+         assign(d.cfg.controller.enforce_unidirectional, v, n);
+       }},
+      {"shedding", "degrade", "drop | degrade (degrade-then-drop)",
+       [](D& d, V v, int n) {
+         if (v == "drop") {
+           d.cfg.controller.shedding = core::SheddingPolicy::kDropWhole;
+         } else if (v == "degrade") {
+           d.cfg.controller.shedding = core::SheddingPolicy::kDegradeThenDrop;
+         } else {
+           fail(n, "shedding must be 'drop' or 'degrade'");
+         }
+       }},
+      {"degraded_service_level", "0.5", "service floor under degrade",
+       [](D& d, V v, int n) {
+         assign(d.cfg.controller.degraded_service_level, v, n);
+       }},
+      {"priority_levels", "3", "shedding priority classes, assigned randomly",
+       [](D& d, V v, int n) { assign(d.cfg.mix.priority_levels, v, n); }},
+      {"demand_quantum_w", "1", "Poisson quantum (variance knob)",
+       [](D& d, V v, int n) { assign(d.cfg.demand_quantum, v, n); }},
       {"ipc_chain_fraction", "0.0",
-       "fraction of each server's apps wired into an IPC chain"},
-      {"ipc_flow_units", "0.25", "traffic units per IPC flow"},
+       "fraction of each server's apps wired into an IPC chain",
+       [](D& d, V v, int n) { assign(d.cfg.ipc_chain_fraction, v, n); }},
+      {"ipc_flow_units", "0.25", "traffic units per IPC flow",
+       [](D& d, V v, int n) { assign(d.cfg.ipc_flow_units, v, n); }},
       {"supply", "sine 420 120 48",
        "constant W | steps w... | sine base amp period | solar floor peak "
-       "day cloud seed | csv path | fig15 | fig19"},
+       "day cloud seed | csv path | fig15 | fig19",
+       [](D& d, V v, int n) { d.cfg.supply = parse_supply(v, n); }},
       {"intensity", "constant 1.0",
-       "constant F | diurnal base amp period [phase] | trace f..."},
-      {"sla_inflation", "5", "enable the QoS tracker (M/M/1 inflation SLA)"},
+       "constant F | diurnal base amp period [phase] | trace f...",
+       [](D& d, V v, int n) { d.cfg.intensity = parse_intensity(v, n); }},
+      {"sla_inflation", "5", "enable the QoS tracker (M/M/1 inflation SLA)",
+       [](D& d, V v, int n) { assign(d.cfg.sla_inflation, v, n); }},
       {"report_loss_probability", "0.1",
-       "legacy fault knob: lost demand reports per server-tick"},
+       "legacy fault knob: lost demand reports per server-tick",
+       [](D& d, V v, int n) {
+         assign_probability(d.cfg.report_loss_probability, v, n);
+       }},
       {"churn_probability", "0.05",
-       "per-server chance per tick of one app departing + one arriving"},
+       "per-server chance per tick of one app departing + one arriving",
+       [](D& d, V v, int n) {
+         assign_probability(d.cfg.churn_probability, v, n);
+       }},
       {"incremental_control", "true",
-       "change-driven control plane (identical trace to full recompute)"},
+       "change-driven control plane (identical trace to full recompute)",
+       [](D& d, V v, int n) { assign(d.cfg.controller.incremental, v, n); }},
       {"shadow_diff", "false",
-       "re-derive every incremental skip; abort on bitwise divergence"},
+       "re-derive every incremental skip; abort on bitwise divergence",
+       [](D& d, V v, int n) { assign(d.cfg.controller.shadow_diff, v, n); }},
       {"report_deadband_w", "0.25",
-       "min demand movement before a node re-reports"},
+       "min demand movement before a node re-reports",
+       [](D& d, V v, int n) {
+         assign(d.cfg.controller.report_deadband, v, n);
+       }},
       {"threads", "1",
-       "tick-engine workers (0 = hw concurrency, 1 = serial; bit-identical)"},
+       "tick-engine workers (0 = hw concurrency, 1 = serial; bit-identical)",
+       [](D& d, V v, int n) { assign(d.cfg.threads, v, n); }},
       {"migration_periods_per_gib", "0.5",
-       "VM transfer latency (0 = instantaneous)"},
-      {"rack_circuit_w", "500", "under-designed rack feed rating (every rack)"},
-      {"cooling_cop", "4.0", "enable the cooling plant (records PUE)"},
+       "VM transfer latency (0 = instantaneous)",
+       [](D& d, V v, int n) {
+         assign(d.cfg.controller.migration_periods_per_gib, v, n);
+       }},
+      {"rack_circuit_w", "500", "under-designed rack feed rating (every rack)",
+       [](D& d, V v, int n) {
+         d.cfg.rack_circuit_limit = Watts{parse_double(v, n)};
+       }},
+      {"cooling_cop", "4.0", "enable the cooling plant (records PUE)",
+       [](D& d, V v, int n) {
+         power::CoolingConfig cool;
+         assign(cool.cop_at_reference, v, n);
+         d.cfg.cooling = power::CoolingModel(cool);
+       }},
       {"link_up_loss_probability", "0.05",
-       "demand report lost (child retries)"},
+       "demand report lost (child retries)",
+       [](D& d, V v, int n) { assign(d.cfg.faults.link.up_loss, v, n); }},
       {"link_up_delay_probability", "0.05",
-       "demand report deferred to the next sweep"},
+       "demand report deferred to the next sweep",
+       [](D& d, V v, int n) { assign(d.cfg.faults.link.up_delay, v, n); }},
       {"link_up_duplicate_probability", "0.02",
-       "report delivered twice (idempotent; counted)"},
+       "report delivered twice (idempotent; counted)",
+       [](D& d, V v, int n) { assign(d.cfg.faults.link.up_duplicate, v, n); }},
       {"link_down_loss_probability", "0.05",
-       "budget directive lost (enters the retry queue)"},
+       "budget directive lost (enters the retry queue)",
+       [](D& d, V v, int n) { assign(d.cfg.faults.link.down_loss, v, n); }},
       {"link_down_duplicate_probability", "0.02",
-       "directive delivered twice"},
+       "directive delivered twice",
+       [](D& d, V v, int n) {
+         assign(d.cfg.faults.link.down_duplicate, v, n);
+       }},
       {"power_sensor_stuck_probability", "0.01",
-       "per-tick power-sensor stuck-at onset"},
+       "per-tick power-sensor stuck-at onset",
+       [](D& d, V v, int n) {
+         assign(d.cfg.faults.power_sensor.stuck_probability, v, n);
+       }},
       {"power_sensor_bias_probability", "0.01",
-       "per-tick power-sensor bias onset"},
+       "per-tick power-sensor bias onset",
+       [](D& d, V v, int n) {
+         assign(d.cfg.faults.power_sensor.bias_probability, v, n);
+       }},
       {"power_sensor_dropout_probability", "0.01",
-       "per-tick power-sensor dropout onset"},
-      {"power_sensor_bias_w", "4", "offset during a power-sensor bias episode"},
+       "per-tick power-sensor dropout onset",
+       [](D& d, V v, int n) {
+         assign(d.cfg.faults.power_sensor.dropout_probability, v, n);
+       }},
+      {"power_sensor_bias_w", "4", "offset during a power-sensor bias episode",
+       [](D& d, V v, int n) { assign(d.cfg.faults.power_sensor.bias, v, n); }},
       {"temp_sensor_stuck_probability", "0.01",
-       "per-tick temperature-sensor stuck-at onset"},
+       "per-tick temperature-sensor stuck-at onset",
+       [](D& d, V v, int n) {
+         assign(d.cfg.faults.temp_sensor.stuck_probability, v, n);
+       }},
       {"temp_sensor_bias_probability", "0.01",
-       "per-tick temperature-sensor bias onset"},
+       "per-tick temperature-sensor bias onset",
+       [](D& d, V v, int n) {
+         assign(d.cfg.faults.temp_sensor.bias_probability, v, n);
+       }},
       {"temp_sensor_dropout_probability", "0.01",
-       "per-tick temperature-sensor dropout onset"},
+       "per-tick temperature-sensor dropout onset",
+       [](D& d, V v, int n) {
+         assign(d.cfg.faults.temp_sensor.dropout_probability, v, n);
+       }},
       {"temp_sensor_bias_c", "3",
-       "offset during a temperature-sensor bias episode"},
+       "offset during a temperature-sensor bias episode",
+       [](D& d, V v, int n) { assign(d.cfg.faults.temp_sensor.bias, v, n); }},
       {"sensor_fault_mean_ticks", "5",
-       "mean episode duration: 1 + Exp(mean - 1) ticks"},
+       "mean episode duration: 1 + Exp(mean - 1) ticks",
+       [](D& d, V v, int n) {
+         assign(d.cfg.faults.sensor_fault_mean_ticks, v, n);
+       }},
       {"crash_probability", "0.002",
-       "per-server, per-tick fail-stop crash onset"},
-      {"crash_down_ticks", "10", "outage length for probabilistic crashes"},
+       "per-server, per-tick fail-stop crash onset",
+       [](D& d, V v, int n) { assign(d.cfg.faults.crash_probability, v, n); }},
+      {"crash_down_ticks", "10", "outage length for probabilistic crashes",
+       [](D& d, V v, int n) { assign(d.cfg.faults.crash_down_ticks, v, n); }},
       {"crash_event", "40 0 1 8",
-       "scripted outage: tick first last [down_ticks]; repeatable"},
+       "scripted outage: tick first last [down_ticks]; repeatable",
+       [](D& d, V v, int n) {
+         const auto words = split_words(v);
+         if (words.size() != 3 && words.size() != 4) {
+           fail(n, "crash_event takes 'tick first last [down_ticks]'");
+         }
+         fault::CrashEvent ev;
+         assign(ev.tick, words[0], n);
+         assign(ev.first_server, words[1], n);
+         assign(ev.last_server, words[2], n);
+         if (words.size() == 4) assign(ev.down_ticks, words[3], n);
+         d.cfg.faults.crash_events.push_back(ev);
+       }},
       {"ups", "90000 220 160 0.8",
-       "capacity_j max_discharge_w max_charge_w [initial_fraction]"},
+       "capacity_j max_discharge_w max_charge_w [initial_fraction]",
+       [](D& d, V v, int n) {
+         const auto words = split_words(v);
+         if (words.size() != 3 && words.size() != 4) {
+           fail(n, "ups takes 'capacity_j max_discharge_w max_charge_w"
+                   " [initial_fraction]'");
+         }
+         try {
+           d.cfg.ups.emplace(util::Joules{parse_double(words[0], n)},
+                             Watts{parse_double(words[1], n)},
+                             Watts{parse_double(words[2], n)},
+                             words.size() == 4 ? parse_double(words[3], n)
+                                               : 1.0);
+         } catch (const std::invalid_argument& e) {
+           fail(n, e.what());
+         }
+       }},
       {"ups_failure", "60 80",
-       "battery failed open over ticks [first, last); repeatable"},
+       "battery failed open over ticks [first, last); repeatable",
+       [](D& d, V v, int n) {
+         const auto words = split_words(v);
+         if (words.size() != 2) fail(n, "ups_failure takes 'first last'");
+         fault::UpsFailureWindow w;
+         assign(w.first_tick, words[0], n);
+         assign(w.last_tick, words[1], n);
+         d.cfg.faults.ups_failures.push_back(w);
+       }},
       {"stale_timeout_ticks", "3",
-       "degraded mode: reports stale after N silent ticks (0 = off)"},
+       "degraded mode: reports stale after N silent ticks (0 = off)",
+       [](D& d, V v, int n) {
+         assign(d.cfg.controller.stale_timeout_ticks, v, n);
+       }},
       {"stale_decay", "0.9",
-       "per-tick decay of a stale leaf's synthetic demand"},
+       "per-tick decay of a stale leaf's synthetic demand",
+       [](D& d, V v, int n) { assign(d.cfg.controller.stale_decay, v, n); }},
       {"directive_retry_limit", "3",
-       "lost-directive retries with binary backoff before abandoning"},
+       "lost-directive retries with binary backoff before abandoning",
+       [](D& d, V v, int n) {
+         assign(d.cfg.controller.directive_retry_limit, v, n);
+       }},
   };
   return kKeys;
 }
 
 bool is_scenario_key(const std::string& key) {
-  for (const auto& doc : scenario_keys()) {
-    if (doc.key == key) return true;
-  }
-  return false;
+  return find_key(key) != nullptr;
 }
 
 }  // namespace willow::sim

@@ -36,24 +36,32 @@ inline constexpr long kScenarioSchemaVersion = 2;
 /// unsupported schema_version.
 SimConfig parse_scenario(std::istream& in);
 
-/// One entry of the scenario-key registry: a key the parser accepts, a valid
-/// sample right-hand side, and a one-line description.  The samples are
-/// mutually consistent — a file made of every `key = sample` line parses and
-/// validates — which is what scenario_keys_roundtrip_test asserts, pinning
-/// the registry to the parser.  The registry is the single source of truth
-/// for willow_cli's key surface: `--keys` prints the key/sample table,
+/// A scenario under construction: the SimConfig the keys write, plus the
+/// hot-zone values parse_scenario applies after the last line.  Only the
+/// key setters below touch it.
+struct ScenarioDraft;
+
+/// One entry of the scenario-key registry: a key, a valid sample right-hand
+/// side, a one-line description, and the setter that writes the key's value.
+/// The registry is the parser: parse_scenario looks each line's key up here
+/// and calls its setter, so a key exists exactly when it has an entry.  The
+/// samples are mutually consistent — a file made of every `key = sample`
+/// line parses and validates (scenario_keys_roundtrip_test).  willow_cli's
+/// key surface reads the same table: `--keys` prints the key/sample table,
 /// `--describe` renders key, sample and help, and `--set key=value`
 /// overrides are validated against it.  scripts/check_docs_drift.sh diffs
-/// the key set against docs/scenario_format.md and the parser, so a key
-/// added to the parser without a registry + docs entry fails CI.
+/// the key set against docs/scenario_format.md.
 struct ScenarioKeyDoc {
   std::string key;
   std::string sample;
   std::string help;
+  /// Writes `value`, read from scenario line `line`, into the draft; throws
+  /// std::runtime_error("scenario line N: ...") when the value is malformed.
+  void (*set)(ScenarioDraft& draft, const std::string& value, int line);
 };
 
 /// True iff `key` is in the scenario_keys() registry (== the parser accepts
-/// it; the roundtrip test and drift gate keep the two sets equal).
+/// it).
 bool is_scenario_key(const std::string& key);
 
 /// Every key parse_scenario() accepts, in a stable order, with a valid

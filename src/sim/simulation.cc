@@ -154,8 +154,6 @@ void Simulation::build() {
   }
 
   fabric_ = std::make_unique<net::Fabric>(cluster.tree(), config_.fabric);
-  config_.controller.incremental = config_.incremental_control;
-  config_.controller.shadow_diff = config_.shadow_diff;
   controller_ = std::make_unique<core::Controller>(cluster, config_.controller);
   controller_->set_event_bus(&bus_);
 

@@ -80,20 +80,9 @@ struct SimConfig {
   /// Optional cooling plant: when set, facility power and PUE are recorded
   /// (heat rejection at the baseline ambient temperature).
   std::optional<power::CoolingModel> cooling{};
-  /// Controller parameters (ΔD/η1/η2/margins/packing...).
+  /// Controller parameters (ΔD/η1/η2/margins/packing...), including the
+  /// incremental control plane switch and its shadow_diff audit mode.
   core::ControllerConfig controller{};
-  /// Incremental (change-driven) control plane: dirty-set demand
-  /// aggregation, memoized budget divisions, epoch-stamped consolidation
-  /// candidates and packing reuse.  Semantically identical to the full
-  /// recompute — same budgets, migrations and event trace; the scenario
-  /// knob exists so benchmarks and A/B runs can flip the walk policy
-  /// without touching the nested controller config (copied onto
-  /// controller.incremental at build time).
-  bool incremental_control = true;
-  /// Debug shadow mode: every skip the incremental path takes is re-derived
-  /// from scratch and any bitwise divergence throws (copied onto
-  /// controller.shadow_diff at build time).  Expensive; CI-only.
-  bool shadow_diff = false;
   /// Optional under-designed rack feed rating applied to every rack (the
   /// Sec.-I lean-design scenario); nullopt means racks never bind.
   std::optional<util::Watts> rack_circuit_limit{};
@@ -215,7 +204,7 @@ struct SimResult {
 
   /// Keyed per-server lookup by PMU leaf id; nullptr when `node` is not a
   /// recorded server.  Linear scan — meant for analysis/report code, not hot
-  /// loops (those hold handles).
+  /// loops (those index servers by arena slot).
   [[nodiscard]] const ServerMetrics* find_server_metrics(
       hier::NodeId node) const {
     for (std::size_t i = 0; i < server_nodes.size(); ++i) {
@@ -229,13 +218,6 @@ struct SimResult {
     throw std::out_of_range("SimResult: no metrics for node " +
                             std::to_string(node));
   }
-  /// Handle-keyed lookup: a ServerHandle's index is the arena slot, which is
-  /// exactly this result's server ordering.
-  [[nodiscard]] const ServerMetrics& server_metrics(
-      core::ServerHandle h) const {
-    return servers.at(h.index);
-  }
-
   /// Migration counts within the measurement window only (warm-up excluded);
   /// what Fig. 9 plots.
   [[nodiscard]] double measured_demand_migrations() const {

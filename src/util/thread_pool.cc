@@ -40,25 +40,8 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_.store(true, std::memory_order_relaxed);
   }
-  cv_task_.notify_all();
+  cv_batch_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push(std::move(task));
-  }
-  cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::size_t pending = in_flight_.load(std::memory_order_acquire);
-  while (pending != 0) {
-    in_flight_.wait(pending, std::memory_order_acquire);
-    pending = in_flight_.load(std::memory_order_acquire);
-  }
 }
 
 std::size_t ThreadPool::chunk_count(std::size_t n, std::size_t pool_size) {
@@ -103,7 +86,7 @@ void ThreadPool::run_batch(std::size_t n, const RangeBody& body) {
     batch_ticket_.store(static_cast<std::uint64_t>(gen) << 32,
                         std::memory_order_release);
   }
-  cv_task_.notify_all();  // the single wake for the whole batch
+  cv_batch_.notify_all();  // the single wake for the whole batch
 
   // The producer is a participant: it claims chunks like any worker, so the
   // batch completes even if every worker is busy (or asleep on a one-core
@@ -156,7 +139,6 @@ void ThreadPool::worker_loop() {
             batch_ticket_.load(std::memory_order_acquire);
         if (static_cast<std::uint32_t>(ticket >> 32) != seen_gen) break;
         if (stop_.load(std::memory_order_relaxed)) break;
-        if (in_flight_.load(std::memory_order_relaxed) > 0) break;
         cpu_relax();
       }
     }
@@ -164,37 +146,20 @@ void ThreadPool::worker_loop() {
     const RangeBody* body = nullptr;
     std::size_t n = 0;
     std::size_t chunks = 0;
-    std::uint32_t gen = 0;
-    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_task_.wait(lock, [&] {
-        return stop_.load(std::memory_order_relaxed) ||
-               batch_gen_ != seen_gen || !queue_.empty();
+      cv_batch_.wait(lock, [&] {
+        return stop_.load(std::memory_order_relaxed) || batch_gen_ != seen_gen;
       });
-      if (batch_gen_ != seen_gen) {
-        // Snapshot the descriptor under the lock: a worker late to one batch
-        // can never observe the next one's fields half-written.
-        seen_gen = batch_gen_;
-        gen = batch_gen_;
-        body = batch_body_;
-        n = batch_n_;
-        chunks = batch_chunks_;
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop();
-      } else {
-        return;  // stop requested and nothing left to do
-      }
+      if (batch_gen_ == seen_gen) return;  // stop requested, no new batch
+      // Snapshot the descriptor under the lock: a worker late to one batch
+      // can never observe the next one's fields half-written.
+      seen_gen = batch_gen_;
+      body = batch_body_;
+      n = batch_n_;
+      chunks = batch_chunks_;
     }
-    if (body != nullptr) {
-      work_chunks(body, n, chunks, gen);
-      continue;
-    }
-    task();
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      in_flight_.notify_all();
-    }
+    work_chunks(body, n, chunks, seen_gen);
   }
 }
 

@@ -43,8 +43,8 @@ struct TracedRun {
 
 TracedRun traced_run(SimConfig cfg, bool incremental, std::size_t threads) {
   std::ostringstream os;
-  cfg.incremental_control = incremental;
-  cfg.shadow_diff = incremental;  // audit every skip the walk takes
+  cfg.controller.incremental = incremental;
+  cfg.controller.shadow_diff = incremental;  // audit every skip the walk takes
   cfg.threads = threads;
   cfg.sinks.push_back(std::make_shared<obs::JsonlTraceSink>(os));
   auto result = run_simulation(std::move(cfg));

@@ -171,6 +171,19 @@ TEST(ScenarioIo, ErrorsCarryLineNumbers) {
   }
 }
 
+/// Parsing `text` must fail with an error that names scenario line `line`.
+void expect_error_at_line(const std::string& text, int line) {
+  try {
+    parse(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("scenario line " +
+                                         std::to_string(line) + ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ScenarioIo, MalformedInputsFail) {
   EXPECT_THROW(parse("utilization 0.5\n"), std::runtime_error);      // no '='
   EXPECT_THROW(parse("utilization = abc\n"), std::runtime_error);    // NaN
@@ -183,6 +196,21 @@ TEST(ScenarioIo, MalformedInputsFail) {
   EXPECT_THROW(parse("= 5\n"), std::runtime_error);
   // Cross-field validation still applies (eta2 must exceed eta1).
   EXPECT_THROW(parse("eta1 = 7\neta2 = 7\n"), std::runtime_error);
+  // Integers must be whole and fit the field they set: no wrap of negatives
+  // into unsigned counts, no truncation into int, no cast of huge doubles.
+  expect_error_at_line("seed = 1\nzones = -1\n", 2);
+  expect_error_at_line("seed = 1\nracks_per_zone = -3\n", 2);
+  expect_error_at_line("seed = 1\nservers_per_rack = 1e30\n", 2);
+  expect_error_at_line("seed = 1\nseed = 2\neta1 = 4294967297\n", 3);
+  expect_error_at_line("eta2 = 1e30\n", 1);
+  expect_error_at_line("seed = 1\npriority_levels = 3000000000\n", 2);
+  expect_error_at_line("seed = 1\nstale_timeout_ticks = -4294967296\n", 2);
+  expect_error_at_line("seed = 1\ndirective_retry_limit = 2147483648\n", 2);
+  expect_error_at_line("seed = 1\nwarmup_ticks = 1e30\n", 2);
+  expect_error_at_line("seed = 1\ncrash_event = 5 -1 2\n", 2);
+  expect_error_at_line("seed = 1\ncrash_event = 5 0 1e20\n", 2);
+  expect_error_at_line("seed = 1\nthreads = -1\n", 2);
+  expect_error_at_line("seed = 1\nmeasure_ticks = nan\n", 2);
 }
 
 TEST(ScenarioIo, LoadFileRoundTrip) {

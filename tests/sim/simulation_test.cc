@@ -40,6 +40,17 @@ TEST(Simulation, RunIsSingleShot) {
   EXPECT_THROW(sim.run(), std::logic_error);
 }
 
+TEST(Simulation, ControllerConfigSetInCodeReachesTheController) {
+  // The controller's switches live only in SimConfig::controller; building
+  // the plant must not overwrite them with defaults from elsewhere.
+  auto cfg = base_config(0.3);
+  cfg.controller.incremental = false;
+  cfg.controller.shadow_diff = true;
+  Simulation sim(std::move(cfg));
+  EXPECT_FALSE(sim.controller().config().incremental);
+  EXPECT_TRUE(sim.controller().config().shadow_diff);
+}
+
 TEST(Simulation, DeterministicForSeed) {
   auto a = run_simulation(base_config(0.4));
   auto b = run_simulation(base_config(0.4));

@@ -2,10 +2,10 @@
 //
 // Hammers the races the design has to be proof against: descriptor reuse
 // across generations (a slow worker must never claim into the next batch),
-// the producer tearing down a batch's body while workers finish, and the
-// queue path interleaved with batches.  Runs with forced worker dispatch so
-// the concurrent claim path is exercised even on single-core CI hosts,
-// where run_batch would otherwise fall back to inline execution.
+// and the producer tearing down a batch's body while workers finish.  Runs
+// with forced worker dispatch so the concurrent claim path is exercised even
+// on single-core CI hosts, where run_batch would otherwise fall back to
+// inline execution.
 //
 // Functional coverage lives in thread_pool_test.cc; this file exists to
 // give TSan long, contended schedules, so iteration counts are high and
@@ -53,26 +53,6 @@ TEST(ThreadPoolStress, BodyLifetimeEndsWithTheBatch) {
     ASSERT_EQ(local.front(), round);
     ASSERT_EQ(local.back(), round);
   }
-}
-
-TEST(ThreadPoolStress, QueueAndBatchPathsContend) {
-  // submit() traffic running concurrently with run_batch() generations:
-  // the paths share the condvar and workers but must not share fate.
-  ThreadPool pool(4);
-  pool.set_force_worker_dispatch(true);
-  std::atomic<std::uint64_t> queued{0};
-  std::atomic<std::uint64_t> batched{0};
-  for (int round = 0; round < 500; ++round) {
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([&] { queued.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.run_batch(333, [&](std::size_t begin, std::size_t end) {
-      batched.fetch_add(end - begin, std::memory_order_relaxed);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(queued.load(), 500u * 8u);
-  EXPECT_EQ(batched.load(), 500u * 333u);
 }
 
 TEST(ThreadPoolStress, TickShapedFanOutsOverSharedState) {
