@@ -129,7 +129,7 @@ PackResult ffdlr(const std::vector<Item>& items, const std::vector<Bin>& bins) {
     return result;
   }
 
-  // Steps 2+3 (shared with the consolidation fast path; see pack.h).
+  // Steps 2+3 (shared with the controller's capacity index; see pack.h).
   VirtualGroups vg = ffdlr_virtual_groups(items, cmax);
   result.unplaced = std::move(vg.oversized);
   const std::vector<VirtualGroup>& virt = vg.groups;

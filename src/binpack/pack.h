@@ -100,7 +100,7 @@ struct VirtualGroups {
 /// into virtual bins of capacity `cmax`, and sort the resulting groups the
 /// way step 4 consumes them.  pack(kFfdlr) is built on this; it is exposed
 /// so callers that maintain their own capacity-ordered bin index (the
-/// controller's consolidation fast path) can reproduce pack()'s group
+/// controller's core::CapacityIndex) can reproduce pack()'s group
 /// placement bitwise without materializing the bin vector.
 VirtualGroups ffdlr_virtual_groups(const std::vector<Item>& items,
                                    double cmax);

@@ -13,6 +13,7 @@
 // `unallocated` (the quantity step (2) may harness).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "util/units.h"
@@ -42,5 +43,19 @@ struct AllocationResult {
 AllocationResult allocate_proportional(Watts total,
                                        const std::vector<Watts>& demands,
                                        const std::vector<Watts>& caps);
+
+/// Working buffers of allocate_proportional, kept by callers that divide many
+/// nodes per pass (the controller's supply division) so a division allocates
+/// nothing once the buffers have grown to the widest node.
+struct AllocationScratch {
+  std::vector<double> demand, cap, value, limit;
+  std::vector<std::uint32_t> open;
+};
+
+/// allocate_proportional into `out` (budgets resized to the input), using
+/// `scratch` for every intermediate.  Same arithmetic, same bits.
+void allocate_proportional(Watts total, const std::vector<Watts>& demands,
+                           const std::vector<Watts>& caps,
+                           AllocationScratch& scratch, AllocationResult& out);
 
 }  // namespace willow::core

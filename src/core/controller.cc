@@ -50,7 +50,17 @@ std::uint64_t bits_of(double d) {
   std::memcpy(&u, &d, sizeof(u));
   return u;
 }
+
+/// Fingerprint of a packing problem's bins, in input order.
+std::uint64_t bins_signature(const std::vector<binpack::Bin>& bins) {
+  std::uint64_t sig = kFnvOffset;
+  for (const auto& bin : bins) {
+    sig = fnv1a(sig, bin.key);
+    sig = fnv1a(sig, bits_of(bin.capacity));
+  }
+  return sig;
 }
+}  // namespace
 
 void ControllerConfig::validate() const {
   if (!(demand_period.value() > 0.0)) {
@@ -122,12 +132,16 @@ bool Controller::budget_reduced(NodeId node) const {
   return node < budget_reduced_.size() && budget_reduced_[node];
 }
 
+void Controller::mark_budget_reduced(NodeId node) {
+  if (budget_reduced_[node]) return;
+  budget_reduced_[node] = true;
+  reduced_nodes_.push_back(node);
+}
+
 void Controller::ensure_topology_cache() {
   const auto& tree = cluster_.tree();
   if (cache_tree_size_ == tree.size()) return;
   cache_tree_size_ = tree.size();
-  bottom_up_ = tree.bottom_up();
-  top_down_ = tree.top_down();
   server_children_.assign(tree.size(), {});
   is_group_parent_.assign(tree.size(), 0);
   group_parents_.clear();
@@ -142,11 +156,22 @@ void Controller::ensure_topology_cache() {
       is_group_parent_[parent] = 1;
     }
   }
-  for (NodeId id : bottom_up_) {
-    if (!tree.node(id).is_leaf() && is_group_parent_[id]) {
-      group_parents_.push_back(id);
+  internal_bottom_up_.clear();
+  escalation_scopes_.clear();
+  for (NodeId id : tree.bottom_up()) {
+    if (tree.node(id).is_leaf()) continue;
+    internal_bottom_up_.push_back(id);
+    if (is_group_parent_[id]) group_parents_.push_back(id);
+    if (!is_group_parent_[id] || id == tree.root()) {
+      escalation_scopes_.push_back(id);
     }
   }
+  internal_top_down_.clear();
+  for (NodeId id : tree.top_down()) {
+    if (!tree.node(id).is_leaf()) internal_top_down_.push_back(id);
+  }
+  deepest_ban_.assign(tree.size(), CapacityIndex::kNoBan);
+  cap_index_built_ = false;
 
   // Incremental-state reset: a new (or re-shaped) tree starts all-dirty so
   // the first pass of every phase is a full recompute that seeds the caches.
@@ -159,6 +184,7 @@ void Controller::ensure_topology_cache() {
   cached_leaf_limit_.assign(ns, 0.0);
   cached_limit_version_.assign(ns, kNever);
   cached_sensor_version_.assign(ns, kNever);
+  leaf_limits_tick_ = -1;
   pending_directives_.clear();
   consol_entry_.assign(ns, {});
   consol_entry_epoch_.assign(ns, kNever);
@@ -278,6 +304,22 @@ void Controller::resolve_instruments() {
   resolve_fault_instruments();
 }
 
+void Controller::resolve_phase_timers() {
+  phase_timers_bus_ = bus_;
+  obs::MetricsRegistry* m = bus_ != nullptr ? &bus_->metrics() : nullptr;
+  auto timer = [m](const char* name) {
+    return m != nullptr ? &m->timer(name) : nullptr;
+  };
+  t_reports_ = timer("controller.phase.reports");
+  t_supply_ = timer("controller.phase.supply");
+  t_thermal_clamp_ = timer("controller.phase.thermal_clamp");
+  t_demand_local_ = timer("controller.phase.demand.local");
+  t_demand_escalation_ = timer("controller.phase.demand.escalation");
+  t_demand_wakes_ = timer("controller.phase.demand.wakes");
+  t_consolidation_ = timer("controller.phase.consolidation");
+  t_revival_ = timer("controller.phase.revival");
+}
+
 void Controller::resolve_fault_instruments() {
   // Registered only when the degraded-mode machinery is actually armed, so a
   // fault-free run's metrics snapshot carries no fault.* names at all.
@@ -375,7 +417,7 @@ void Controller::apply_fallback_budgets() {
                               safe.value(), leaf.budget().value()));
       }
       leaf.set_budget(safe);
-      budget_reduced_[s] = true;
+      mark_budget_reduced(s);
       const NodeId p = leaf.parent();
       if (p != hier::kNoNode) division_dirty_[p] = 1;
       touch(s);
@@ -407,7 +449,7 @@ bool Controller::send_directive(NodeId id, Watts budget,
     return false;
   }
   const double previous = n.budget().value();
-  if (budget < n.budget() - Watts{kEps}) budget_reduced_[id] = true;
+  if (budget < n.budget() - Watts{kEps}) mark_budget_reduced(id);
   if (observe) {
     bus_->emit(make_event(obs::EventType::kBudgetDirective, id, hier::kNoNode,
                           0, obs::Reason::kNone, budget.value(), previous));
@@ -485,13 +527,14 @@ void Controller::retry_pending_directives() {
 }
 
 void Controller::tick(Watts available_supply) {
+  if (phase_timers_bus_ != bus_) resolve_phase_timers();
   ++tick_;
   ensure_topology_cache();
   // The previous tick's transient booking (absorbed_w_/migrated_from_w_) is
   // about to reset below, which moves target_capacity() for every endpoint of
   // last tick's migrations.  Stamp those endpoints so the epoch-keyed
   // consolidation verdict caches see the reset as a change — this is what
-  // lets the caches and the fleet fast path stay valid while migrations are
+  // lets the caches and the capacity index stay valid while migrations are
   // in flight instead of being quiescence-gated.
   for (const auto& rec : migrations_this_tick_) {
     touch(rec.from);
@@ -502,37 +545,48 @@ void Controller::tick(Watts available_supply) {
   absorbed_w_.assign(cluster_.tree().size(), 0.0);
   migrated_from_w_.assign(cluster_.tree().size(), 0.0);
 
-  complete_due_migrations();
+  {
+    const obs::ScopedTimer timer(t_reports_);
+    complete_due_migrations();
 
-  cluster_.observe_leaf_demands();
-  apply_stale_observations();
-  auto& tree = cluster_.tree();
-  tree.report_demands();
-  // Every report that fired is a change the decision phases must see: the
-  // reporter's subtree moved (consolidation epochs) and its parent's child
-  // demand vector moved (budget division).
-  for (NodeId r : tree.reported_last_sweep()) {
-    touch(r);
-    const NodeId p = tree.node(r).parent();
-    if (p != hier::kNoNode) division_dirty_[p] = 1;
+    cluster_.observe_leaf_demands();
+    apply_stale_observations();
+    auto& tree = cluster_.tree();
+    tree.report_demands();
+    // Every report that fired is a change the decision phases must see: the
+    // reporter's subtree moved (consolidation epochs) and its parent's child
+    // demand vector moved (budget division).
+    for (NodeId r : tree.reported_last_sweep()) {
+      touch(r);
+      const NodeId p = tree.node(r).parent();
+      if (p != hier::kNoNode) division_dirty_[p] = 1;
+    }
+    retry_pending_directives();
   }
-  retry_pending_directives();
 
   last_supply_ = available_supply;
   if (tick_ == 1 || tick_ % config_.eta1 == 0) {
+    const obs::ScopedTimer timer(t_supply_);
     supply_adaptation(available_supply);
   }
-  enforce_thermal_limits();
-  apply_fallback_budgets();
+  {
+    const obs::ScopedTimer timer(t_thermal_clamp_);
+    enforce_thermal_limits();
+    apply_fallback_budgets();
+  }
 
-  demand_adaptation();
+  demand_adaptation();  // times its local, escalation and wake sub-phases
 
   if (tick_ % config_.eta2 == 0) {
+    const obs::ScopedTimer timer(t_consolidation_);
     consolidate();
   }
 
-  revive_dropped();
-  cluster_.age_temporary_demands();
+  {
+    const obs::ScopedTimer timer(t_revival_);
+    revive_dropped();
+    cluster_.age_temporary_demands();
+  }
 }
 
 Watts Controller::rolled_up_hard_limit(NodeId id) const {
@@ -554,26 +608,36 @@ void Controller::update_hard_limits() {
   const bool inc = config_.incremental;
   // Leaves first, by server index (flat scans, no id-hash lookups): a
   // server's limit moves only with its thermal state version, which
-  // leaf_limit() caches on.
+  // leaf_limit() caches on.  Once per tick: the plant does not move inside
+  // a tick, so a wake batch's re-division would find every leaf unchanged.
   const auto& sids = cluster_.server_ids();
-  for (std::size_t i = 0; i < sids.size(); ++i) {
-    auto& n = tree.node(sids[i]);
-    const Watts lim = leaf_limit(i);
-    if (lim.value() != n.hard_limit().value()) {
-      n.set_hard_limit(lim);
-      const NodeId p = n.parent();
-      if (p != hier::kNoNode) {
-        limit_dirty_[p] = 1;
-        division_dirty_[p] = 1;
+  if (!inc || leaf_limits_tick_ != tick_) {
+    leaf_limits_tick_ = tick_;
+    for (std::size_t i = 0; i < sids.size(); ++i) {
+      auto& n = tree.node(sids[i]);
+      const Watts lim = leaf_limit(i);
+      if (lim.value() != n.hard_limit().value()) {
+        n.set_hard_limit(lim);
+        const NodeId p = n.parent();
+        if (p != hier::kNoNode) {
+          limit_dirty_[p] = 1;
+          division_dirty_[p] = 1;
+        }
       }
     }
+  } else if (config_.shadow_diff) {
+    bool mismatch = false;
+    for (std::size_t i = 0; i < sids.size(); ++i) {
+      mismatch |=
+          leaf_limit(i).value() != tree.node(sids[i]).hard_limit().value();
+    }
+    shadow_verify(mismatch, "skipped leaf-limit refresh missed a moved limit");
   }
   // Internal roll-up, children before parents; clean subtrees keep their
   // cached sums.  (Non-server leaves keep their infinite default, as in the
   // full walk, which never touched them either.)
-  for (NodeId id : bottom_up_) {
+  for (NodeId id : internal_bottom_up_) {
     auto& n = tree.node(id);
-    if (n.is_leaf()) continue;
     if (inc && !limit_dirty_[id]) {
       if (config_.shadow_diff) {
         shadow_verify(
@@ -597,7 +661,7 @@ void Controller::update_hard_limits() {
   }
 }
 
-AllocationResult Controller::divide(NodeId id) {
+const AllocationResult& Controller::divide(NodeId id) {
   const auto& tree = cluster_.tree();
   const auto& n = tree.node(id);
   const auto& kids = n.children();
@@ -612,26 +676,30 @@ AllocationResult Controller::divide(NodeId id) {
                      ? (child.active() ? child.reported_demand() : Watts{0.0})
                      : caps[i];
   }
-  return allocate_proportional(n.budget(), demands, caps);
+  allocate_proportional(n.budget(), demands, caps, alloc_scratch_,
+                        alloc_result_);
+  return alloc_result_;
 }
 
 void Controller::supply_adaptation(Watts available_supply) {
   auto& tree = cluster_.tree();
   ensure_topology_cache();
+  cap_index_built_ = false;  // budgets and reduced flags are about to move
   update_hard_limits();
   if (budget_reduced_.size() != tree.size()) {
     budget_reduced_.assign(tree.size(), false);
   } else {
-    for (NodeId id = 0; id < budget_reduced_.size(); ++id) {
-      if (budget_reduced_[id]) {
-        budget_reduced_[id] = false;
-        // Clearing the flag changes this node's eligibility under the
-        // unidirectional rule even though no budget moved; stamp it so
-        // cached consolidation verdicts that saw the old flag die.
-        touch(id);
-      }
+    // In NodeId order, as a scan of the flags would visit them.
+    std::sort(reduced_nodes_.begin(), reduced_nodes_.end());
+    for (NodeId id : reduced_nodes_) {
+      budget_reduced_[id] = false;
+      // Clearing the flag changes this node's eligibility under the
+      // unidirectional rule even though no budget moved; stamp it so
+      // cached consolidation verdicts that saw the old flag die.
+      touch(id);
     }
   }
+  reduced_nodes_.clear();
 
   const bool inc = config_.incremental;
   std::uint64_t directives = 0;
@@ -659,16 +727,14 @@ void Controller::supply_adaptation(Watts available_supply) {
   const NodeId root = tree.root();
   mark_and_set(root, util::min(available_supply, tree.node(root).hard_limit()));
 
-  for (NodeId id : top_down_) {
-    auto& n = tree.node(id);
-    if (n.is_leaf()) continue;
-    const auto& kids = n.children();
+  for (NodeId id : internal_top_down_) {
+    const auto& kids = tree.node(id).children();
     if (inc && !division_dirty_[id]) {
       // Own budget, child demand vector and child capacities all unchanged
       // since this division last ran: the children's budgets stand.
       ++memoized;
       if (config_.shadow_diff) {
-        const AllocationResult alloc = divide(id);
+        const AllocationResult& alloc = divide(id);
         bool mismatch = false;
         for (std::size_t i = 0; i < kids.size(); ++i) {
           mismatch |= alloc.budgets[i].value() !=
@@ -681,7 +747,7 @@ void Controller::supply_adaptation(Watts available_supply) {
       continue;
     }
     division_dirty_[id] = 0;
-    const AllocationResult alloc = divide(id);
+    const AllocationResult& alloc = divide(id);
     for (std::size_t i = 0; i < kids.size(); ++i) {
       mark_and_set(kids[i], alloc.budgets[i]);
     }
@@ -714,7 +780,7 @@ void Controller::enforce_thermal_limits() {
                               limit.value(), leaf.budget().value()));
       }
       leaf.set_budget(limit);
-      budget_reduced_[s] = true;
+      mark_budget_reduced(s);
       thermally_clamped_[s] = 1;
       // The clamp knocked this leaf off its parent's allocation; the next
       // supply pass must re-divide (and will re-announce) or the two walk
@@ -878,6 +944,7 @@ void Controller::apply_migration(const PlanItem& item, NodeId target) {
   targets_this_tick_.insert(target);
   touch(item.source);
   touch(target);
+  reindex(target);  // its capacity shrank (only the target's moves)
 
   const auto& tree = cluster_.tree();
   MigrationRecord rec;
@@ -936,8 +1003,112 @@ void Controller::add_bin(NodeId t, PackBuffers& buf) const {
   }
 }
 
+void Controller::scope_bins(NodeId scope, NodeId exclude,
+                            PackBuffers& buf) const {
+  const auto& tree = cluster_.tree();
+  const auto& arena = cluster_.arena();
+  buf.bins.clear();
+  buf.bin_nodes.clear();
+  for (const std::uint32_t slot : arena.subtree(scope)) {
+    const NodeId t = arena.node_of(slot);
+    if (t == exclude || !tree.node(t).active()) continue;
+    if (eligible_target(t, scope)) add_bin(t, buf);
+  }
+}
+
+void Controller::ensure_capacity_index() {
+  if (cap_index_built_) return;
+  cap_index_built_ = true;
+  const auto& tree = cluster_.tree();
+  const auto& sids = cluster_.server_ids();
+  cap_index_.reset(sids.size());
+  if (config_.enforce_unidirectional) {
+    // eligible_target(t, p) bans t when a node on [parent(t), p) is reduced
+    // and in reported deficit.  Record, top-down, the depth of the deepest
+    // such node on each internal node's root path (the root itself bans
+    // nothing: no scope lies above it); t is then eligible at p exactly
+    // when that depth at parent(t) is no deeper than p.
+    const NodeId root = tree.root();
+    for (NodeId x : internal_top_down_) {
+      const auto& node = tree.node(x);
+      const NodeId p = node.parent();
+      int depth = p == hier::kNoNode ? CapacityIndex::kNoBan : deepest_ban_[p];
+      if (x != root && budget_reduced_[x] &&
+          reported_deficit(node).value() > kEps) {
+        depth = node.depth();
+      }
+      deepest_ban_[x] = depth;
+    }
+    for (std::size_t i = 0; i < sids.size(); ++i) {
+      const NodeId p = tree.node(sids[i]).parent();
+      if (p != hier::kNoNode) {
+        cap_index_.set_ban_depth(static_cast<std::uint32_t>(i),
+                                 deepest_ban_[p]);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < sids.size(); ++i) {
+    if (tree.node(sids[i]).active()) {
+      cap_index_.add(static_cast<std::uint32_t>(i),
+                     target_capacity(sids[i]).value());
+    }
+  }
+  cap_index_.load();
+}
+
+CapacityIndex::Scope Controller::index_scope(NodeId scope,
+                                             NodeId exclude) const {
+  const auto& arena = cluster_.arena();
+  const SubtreeSpan span = arena.subtree(scope);
+  CapacityIndex::Scope q;
+  q.first = span.empty() ? 0 : span[0];
+  q.count = span.size();
+  q.depth = cluster_.tree().node(scope).depth();
+  if (exclude != hier::kNoNode) q.exclude = arena.slot_of(exclude);
+  return q;
+}
+
+std::uint64_t Controller::index_bins_sig(const CapacityIndex::Scope& q) const {
+  const auto& arena = cluster_.arena();
+  std::uint64_t sig = kFnvOffset;
+  for (std::uint32_t slot = q.first; slot < q.first + q.count; ++slot) {
+    if (!cap_index_.serves(q, slot)) continue;
+    sig = fnv1a(sig, arena.node_of(slot));
+    sig = fnv1a(sig, bits_of(cap_index_.capacity(slot)));
+  }
+  return sig;
+}
+
+void Controller::reindex(NodeId t) {
+  if (!cap_index_built_) return;
+  const std::uint32_t slot = cluster_.arena().slot_of(t);
+  const int mutations = cap_index_.update(slot, target_capacity(t).value());
+  if (cap_index_.eligible(slot, 0)) fleet_index_updates_ += mutations;
+}
+
 std::vector<std::size_t> Controller::pack_and_apply(
     std::vector<PlanItem>& items, const std::vector<NodeId>& targets) {
+  auto& buf = pack_scratch_;
+  buf.bins.clear();
+  buf.bin_nodes.clear();
+  for (NodeId t : targets) add_bin(t, buf);
+  return solve_and_apply(items, hier::kNoNode);
+}
+
+bool Controller::index_serves(NodeId scope) const {
+  return config_.incremental && config_.packing == binpack::Algorithm::kFfdlr &&
+         cluster_.arena().subtree(scope).contiguous();
+}
+
+std::vector<std::size_t> Controller::pack_and_apply(
+    std::vector<PlanItem>& items, NodeId scope) {
+  if (index_serves(scope)) return solve_and_apply(items, scope);
+  scope_bins(scope, hier::kNoNode, pack_scratch_);
+  return solve_and_apply(items, hier::kNoNode);
+}
+
+std::vector<std::size_t> Controller::solve_and_apply(
+    std::vector<PlanItem>& items, NodeId scope) {
   if (bus_ != nullptr) {
     auto& m = bus_->metrics();
     m.counter("controller.pack_calls").increment();
@@ -951,22 +1122,33 @@ std::vector<std::size_t> Controller::pack_and_apply(
     items_sig = fnv1a(items_sig, item.app);
     items_sig = fnv1a(items_sig, bits_of(item.size.value()));
   }
-  buf.bins.clear();
-  buf.bin_nodes.clear();
-  for (NodeId t : targets) add_bin(t, buf);
-  std::uint64_t bins_sig = kFnvOffset;
-  for (const auto& bin : buf.bins) {
-    bins_sig = fnv1a(bins_sig, bin.key);
-    bins_sig = fnv1a(bins_sig, bits_of(bin.capacity));
+  const bool indexed = scope != hier::kNoNode;
+  CapacityIndex::Scope q;
+  if (indexed) {
+    ensure_capacity_index();
+    q = index_scope(scope, hier::kNoNode);
   }
+  // The bins' fingerprint, computed only when the memo needs it: over the
+  // index it costs a pass over the scope's slots.
+  std::uint64_t bins_sig = 0;
+  bool have_bins_sig = false;
+  auto get_bins_sig = [&] {
+    if (!have_bins_sig) {
+      bins_sig = indexed ? index_bins_sig(q) : bins_signature(buf.bins);
+      have_bins_sig = true;
+    }
+    return bins_sig;
+  };
   // Previous-call reuse: when the identical all-unplaced problem comes back
   // (same items, same bins), the packer's verdict stands; only no-assignment
   // results are reusable because an applied assignment mutates the very
   // surpluses the fingerprint hashed.
   if (config_.incremental && pack_memo_.valid &&
       pack_memo_.item_count == items.size() &&
-      pack_memo_.items_sig == items_sig && pack_memo_.bins_sig == bins_sig) {
+      pack_memo_.items_sig == items_sig &&
+      pack_memo_.bins_sig == get_bins_sig()) {
     if (config_.shadow_diff) {
+      if (indexed) scope_bins(scope, hier::kNoNode, buf);
       const binpack::PackResult check =
           binpack::pack(buf.items, buf.bins, config_.packing);
       shadow_verify(!check.assignments.empty() ||
@@ -976,22 +1158,56 @@ std::vector<std::size_t> Controller::pack_and_apply(
     if (c_packings_reused_ != nullptr) c_packings_reused_->increment();
     return pack_memo_.unplaced;
   }
-  const binpack::PackResult result =
-      binpack::pack(buf.items, buf.bins, config_.packing);
-  pack_memo_.valid = result.assignments.empty();
-  pack_memo_.items_sig = items_sig;
-  pack_memo_.bins_sig = bins_sig;
-  pack_memo_.item_count = items.size();
-  pack_memo_.unplaced = result.unplaced;
-  for (const auto& a : result.assignments) {
-    apply_migration(items[a.item], buf.bin_nodes[a.bin]);
+  auto& plan = plan_scratch_;
+  plan.clear();
+  std::vector<std::size_t> unplaced;
+  if (indexed) {
+    cap_index_.pack(buf.items, q, false, index_plan_scratch_, unplaced);
+    const auto& arena = cluster_.arena();
+    for (const auto& [item, slot] : index_plan_scratch_) {
+      plan.emplace_back(item, arena.node_of(slot));
+    }
+    if (config_.shadow_diff) {
+      // Re-derive the verdict and plan with the full packer over freshly
+      // materialized bins; the bins' fingerprint also checks every indexed
+      // capacity and eligibility against a fresh derivation.
+      const std::uint64_t sig = get_bins_sig();
+      scope_bins(scope, hier::kNoNode, buf);
+      const binpack::PackResult full =
+          binpack::pack(buf.items, buf.bins, config_.packing);
+      bool mismatch = bins_signature(buf.bins) != sig ||
+                      full.unplaced != unplaced ||
+                      full.assignments.size() != plan.size();
+      for (std::size_t k = 0; !mismatch && k < plan.size(); ++k) {
+        mismatch = full.assignments[k].item != plan[k].first ||
+                   buf.bin_nodes[full.assignments[k].bin] != plan[k].second;
+      }
+      shadow_verify(mismatch, "capacity index diverged from a full pack",
+                    scope);
+    }
+  } else {
+    binpack::PackResult result =
+        binpack::pack(buf.items, buf.bins, config_.packing);
+    for (const auto& a : result.assignments) {
+      plan.emplace_back(a.item, buf.bin_nodes[a.bin]);
+    }
+    unplaced = std::move(result.unplaced);
   }
-  return result.unplaced;
+  pack_memo_.valid = plan.empty();
+  pack_memo_.items_sig = items_sig;
+  pack_memo_.bins_sig = pack_memo_.valid ? get_bins_sig() : 0;
+  pack_memo_.item_count = items.size();
+  pack_memo_.unplaced = unplaced;
+  for (const auto& [item, target] : plan) apply_migration(items[item], target);
+  return unplaced;
 }
 
 void Controller::demand_adaptation() {
   auto& tree = cluster_.tree();
   ensure_topology_cache();
+  // The index is built (lazily) after the local pass, whose migrations it
+  // must see.
+  cap_index_built_ = false;
 
   // Build per-group local problems: every internal node with >= 1 server
   // child is a "level-1" group (precomputed in group_parents_).
@@ -1000,53 +1216,62 @@ void Controller::demand_adaptation() {
     std::vector<PlanItem> items;
   };
   std::vector<Group> groups;
-  for (NodeId g : group_parents_) {
-    std::vector<PlanItem> items;
-    for (NodeId c : server_children_[g]) {
-      const auto& leaf = tree.node(c);
-      if (!leaf.active()) continue;
-      // In-flight outbound demand is already leaving: plan only the rest.
-      const Watts deficit =
-          reported_deficit(leaf) - Watts{outbound_in_flight_w_[c]};
-      if (deficit.value() > kEps) {
-        // Attribute the move to what tightened this server's budget: the
-        // per-ΔD thermal clamp if it fired here, else the supply division.
-        const obs::Reason reason =
-            c < thermally_clamped_.size() && thermally_clamped_[c]
-                ? obs::Reason::kThermal
-                : obs::Reason::kSupplyDeficit;
-        auto victims = select_victims(c, deficit + config_.margin,
-                                      MigrationCause::kDemand, reason);
-        items.insert(items.end(), victims.begin(), victims.end());
-      }
-    }
-    if (!items.empty()) {
-      groups.push_back({g, std::move(items)});
-    }
-  }
-  if (groups.empty()) return;
-
   std::vector<PlanItem> pending;
-
-  if (config_.prefer_local) {
-    // Local pass: match each group's deficits against its own surpluses.
-    for (auto& grp : groups) {
-      target_scratch_.clear();
-      for (NodeId c : server_children_[grp.parent]) {
-        if (tree.node(c).active() && eligible_target(c, grp.parent)) {
-          target_scratch_.push_back(c);
+  {
+    const obs::ScopedTimer timer(t_demand_local_);
+    for (NodeId g : group_parents_) {
+      std::vector<PlanItem> items;
+      for (NodeId c : server_children_[g]) {
+        const auto& leaf = tree.node(c);
+        if (!leaf.active()) continue;
+        // In-flight outbound demand is already leaving: plan only the rest.
+        const Watts deficit =
+            reported_deficit(leaf) - Watts{outbound_in_flight_w_[c]};
+        if (deficit.value() > kEps) {
+          // Attribute the move to what tightened this server's budget: the
+          // per-ΔD thermal clamp if it fired here, else the supply division.
+          const obs::Reason reason =
+              c < thermally_clamped_.size() && thermally_clamped_[c]
+                  ? obs::Reason::kThermal
+                  : obs::Reason::kSupplyDeficit;
+          auto victims = select_victims(c, deficit + config_.margin,
+                                        MigrationCause::kDemand, reason);
+          items.insert(items.end(), victims.begin(), victims.end());
         }
       }
-      const auto unplaced = pack_and_apply(grp.items, target_scratch_);
-      for (std::size_t idx : unplaced) pending.push_back(grp.items[idx]);
+      if (!items.empty()) {
+        groups.push_back({g, std::move(items)});
+      }
     }
-    // Escalation: climb the hierarchy; at each internal node try the servers
-    // of the whole subtree (the local pass already exhausted same-group
-    // surpluses, so placements here are effectively non-local).
-    if (!pending.empty()) {
-      for (NodeId p : bottom_up_) {
-        if (tree.node(p).is_leaf()) continue;
-        if (is_group_parent_[p] && p != tree.root()) continue;  // local pass done
+    if (groups.empty()) return;
+
+    if (config_.prefer_local) {
+      // Local pass: match each group's deficits against its own surpluses.
+      for (auto& grp : groups) {
+        target_scratch_.clear();
+        for (NodeId c : server_children_[grp.parent]) {
+          if (tree.node(c).active() && eligible_target(c, grp.parent)) {
+            target_scratch_.push_back(c);
+          }
+        }
+        const auto unplaced = pack_and_apply(grp.items, target_scratch_);
+        for (std::size_t idx : unplaced) pending.push_back(grp.items[idx]);
+      }
+    } else {
+      // Ablation: no locality preference — one global matching at the root.
+      for (auto& grp : groups) {
+        pending.insert(pending.end(), grp.items.begin(), grp.items.end());
+      }
+    }
+  }
+
+  if (!pending.empty()) {
+    const obs::ScopedTimer timer(t_demand_escalation_);
+    if (config_.prefer_local) {
+      // Escalation: climb the hierarchy; at each scope try the servers of the
+      // whole subtree (the local pass already exhausted same-group
+      // surpluses, so placements here are effectively non-local).
+      for (NodeId p : escalation_scopes_) {
         std::vector<PlanItem> in_scope;
         std::vector<PlanItem> out_of_scope;
         for (auto& item : pending) {
@@ -1054,53 +1279,42 @@ void Controller::demand_adaptation() {
               .push_back(item);
         }
         if (in_scope.empty()) continue;
-        target_scratch_.clear();
-        const auto& arena = cluster_.arena();
-        const SubtreeSpan span = arena.subtree(p);
-        for (std::uint32_t k = 0; k < span.size(); ++k) {
-          const NodeId s = arena.node_of(span[k]);
-          if (tree.node(s).active() && eligible_target(s, p)) {
-            target_scratch_.push_back(s);
-          }
-        }
-        const auto unplaced = pack_and_apply(in_scope, target_scratch_);
+        const auto unplaced = pack_and_apply(in_scope, p);
         pending = std::move(out_of_scope);
         for (std::size_t idx : unplaced) pending.push_back(in_scope[idx]);
         if (pending.empty()) break;
       }
+    } else {
+      const auto unplaced = pack_and_apply(pending, tree.root());
+      std::vector<PlanItem> rest;
+      for (std::size_t idx : unplaced) rest.push_back(pending[idx]);
+      pending = std::move(rest);
     }
-  } else {
-    // Ablation: no locality preference — one global matching at the root.
-    for (auto& grp : groups) {
-      pending.insert(pending.end(), grp.items.begin(), grp.items.end());
-    }
-    target_scratch_.clear();
-    for (NodeId s : cluster_.server_ids()) {
-      if (tree.node(s).active() && eligible_target(s, tree.root())) {
-        target_scratch_.push_back(s);
-      }
-    }
-    const auto unplaced = pack_and_apply(pending, target_scratch_);
-    std::vector<PlanItem> rest;
-    for (std::size_t idx : unplaced) rest.push_back(pending[idx]);
-    pending = std::move(rest);
   }
+  if (pending.empty()) return;
 
   // Root-level leftovers: wake sleeping capacity, then drop what remains.
-  if (!pending.empty() && config_.allow_wake) {
-    std::vector<NodeId> asleep;
-    for (NodeId s : cluster_.server_ids()) {
-      if (cluster_.server(s).asleep()) asleep.push_back(s);
-    }
-    // Largest capacity first; explicit id tie-break keeps the order a pure
-    // function of the inputs.
-    std::stable_sort(asleep.begin(), asleep.end(), [&](NodeId a, NodeId b) {
-      if (tree.node(a).hard_limit().value() !=
-          tree.node(b).hard_limit().value()) {
-        return tree.node(a).hard_limit() > tree.node(b).hard_limit();
+  const obs::ScopedTimer timer(t_demand_wakes_);
+  if (config_.allow_wake) {
+    // Sleep pool in wake order — largest hard limit first, NodeId breaking
+    // ties, so the order is a pure function of the inputs — heap-selected:
+    // a tick wakes a handful of servers out of a pool of thousands.  Keys
+    // are snapshotted here, before the first batch's re-division refreshes
+    // sleeping leaves' limits.
+    auto& pool = sleep_pool_scratch_;
+    pool.clear();
+    const auto& sids = cluster_.server_ids();
+    for (std::size_t i = 0; i < sids.size(); ++i) {
+      if (cluster_.server_at(i).asleep()) {
+        pool.emplace_back(tree.node(sids[i]).hard_limit().value(), sids[i]);
       }
-      return a < b;
-    });
+    }
+    const auto wakes_later = [](const std::pair<double, NodeId>& a,
+                                const std::pair<double, NodeId>& b) {
+      if (a.first != b.first) return a.first < b.first;
+      return a.second > b.second;
+    };
+    std::make_heap(pool.begin(), pool.end(), wakes_later);
     // Wake in geometric batches (1, 2, 4, ...) with ONE supply re-division
     // per batch.  The per-wake re-division this replaces was O(fleet):
     // waking W servers cost W full budget divisions, and under sustained
@@ -1112,10 +1326,9 @@ void Controller::demand_adaptation() {
     // pathological case to a single wasted wake: capacity that hosts no
     // leftover demand is capacity consolidation just has to re-sleep.
     const auto& root_node = tree.node(tree.root());
-    std::size_t next = 0;
     std::size_t batch = 1;
     std::vector<NodeId> batch_nodes;
-    while (!pending.empty() && next < asleep.size()) {
+    while (!pending.empty() && !pool.empty()) {
       // Headroom a wake could tap: budget the children could not absorb plus
       // raw supply beyond the active-capacity cap on the root budget.
       const Watts headroom =
@@ -1123,9 +1336,11 @@ void Controller::demand_adaptation() {
           util::positive_part(last_supply_ - root_node.budget());
       if (headroom.value() <= config_.margin.value()) break;
       batch_nodes.clear();
-      const std::size_t take = std::min(batch, asleep.size() - next);
+      const std::size_t take = std::min(batch, pool.size());
       for (std::size_t i = 0; i < take; ++i) {
-        const NodeId s = asleep[next++];
+        std::pop_heap(pool.begin(), pool.end(), wakes_later);
+        const NodeId s = pool.back().second;
+        pool.pop_back();
         cluster_.wake_server(s);
         // The wake flips an active flag the aggregation sweeps cannot see.
         note_availability_change(s);
@@ -1310,16 +1525,8 @@ std::uint64_t Controller::consol_items(std::size_t ci,
 bool Controller::scope_dry_run(NodeId scope, NodeId exclude,
                                const std::vector<PlanItem>& items,
                                PackBuffers& buf, Assignments& assign) const {
-  const auto& tree = cluster_.tree();
-  const auto& arena = cluster_.arena();
   fill_pack_items(items, buf.items);
-  buf.bins.clear();
-  buf.bin_nodes.clear();
-  for (const std::uint32_t slot : arena.subtree(scope)) {
-    const NodeId t = arena.node_of(slot);
-    if (t == exclude || !tree.node(t).active()) continue;
-    if (eligible_target(t, scope)) add_bin(t, buf);
-  }
+  scope_bins(scope, exclude, buf);
   const binpack::PackResult result =
       binpack::pack(buf.items, buf.bins, config_.packing);
   assign.clear();
@@ -1414,93 +1621,19 @@ void Controller::consolidate() {
   std::uint64_t n_drained = 0;
   std::uint64_t n_cache_served = 0;
   std::uint64_t n_batched = 0;
-  std::uint64_t index_updates = 0;
-
-  // --- Fleet-scope capacity index -----------------------------------------
-  // At fleet scope every candidate's dry run used to rescan all servers and
-  // recompute every target capacity: O(candidates × fleet) per consolidate.
-  // Within one consolidate() call the inputs of target_capacity() and
-  // eligible_target() are stable — budgets, reported demands and the
-  // budget_reduced_ flags only move in the report/distribution sweeps —
-  // except for the watts a migration books on its target
-  // (absorbed_w_/reserved_in_w_) and servers this pass puts to sleep.  So one
-  // (capacity, server)-ordered index, point-updated after each apply,
-  // reproduces pack()'s real-bin order for every candidate: capacity
-  // ascending, bin index ascending, where bin index order is creation order
-  // is ascending NodeId.  Built lazily on the first fleet-scope dry run, so a
-  // settled fleet (all verdicts cached) pays nothing; under churn the batched
-  // drain point-updates it thousands of times per pass, hence the std::set.
   const auto& arena = cluster_.arena();
-  consol_index_built_ = false;
-  auto consol_index_erase = [&](NodeId t) {
-    if (!consol_index_built_) return;
-    const std::uint32_t slot = arena.slot_of(t);
-    const double key = consol_cap_of_[slot];
-    if (key < 0.0) return;
-    consol_cap_index_.erase(std::pair<double, NodeId>{key, t});
-    consol_cap_of_[slot] = -1.0;
-    ++index_updates;
-  };
-  auto consol_index_update = [&](NodeId t) {
-    if (!consol_index_built_) return;
-    consol_index_erase(t);
-    const std::uint32_t slot = arena.slot_of(t);
-    if (consol_root_eligible_[slot] == 0 || !tree.node(t).active()) return;
-    const double cap = target_capacity(t).value();
-    if (cap <= kEps) return;
-    consol_cap_index_.insert(std::pair<double, NodeId>{cap, t});
-    consol_cap_of_[slot] = cap;
-    ++index_updates;
-  };
-  auto build_consol_index = [&]() {
-    consol_root_eligible_.assign(count, 1);
-    if (config_.enforce_unidirectional) {
-      // eligible_target(t, root) bans targets whose path [parent(t), root)
-      // crosses a reduced node in reported deficit; one top-down pass
-      // (parents precede children by id) folds the flag along every path.
-      std::vector<char> banned(tree.size(), 0);
-      for (NodeId x = 0; x < static_cast<NodeId>(tree.size()); ++x) {
-        if (x == root) continue;
-        const auto& node = tree.node(x);
-        const NodeId p = node.parent();
-        banned[x] = ((budget_reduced_[x] &&
-                      reported_deficit(node).value() > kEps) ||
-                     (p != hier::kNoNode && p != root && banned[p] != 0))
-                        ? 1
-                        : 0;
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        const NodeId p = tree.node(sids[i]).parent();
-        consol_root_eligible_[i] =
-            (p == hier::kNoNode || p == root || banned[p] == 0) ? 1 : 0;
-      }
-    }
-    // Fill a flat scratch first and feed the set with hinted end-inserts:
-    // O(n log n) sort + O(n) tree construction instead of n log n node-by-
-    // node insertions with cold-cache rebalancing.
-    auto& flat = consol_index_build_scratch_;
-    flat.clear();
-    consol_cap_of_.assign(count, -1.0);
-    for (std::size_t i = 0; i < count; ++i) {
-      const NodeId t = sids[i];
-      if (consol_root_eligible_[i] == 0 || !tree.node(t).active()) continue;
-      const double cap = target_capacity(t).value();
-      if (cap > kEps) {
-        flat.emplace_back(cap, t);
-        consol_cap_of_[i] = cap;
-      }
-    }
-    std::sort(flat.begin(), flat.end());
-    consol_cap_index_.clear();
-    for (const auto& entry : flat) {
-      consol_cap_index_.insert(consol_cap_index_.end(), entry);
-    }
-    consol_index_built_ = true;
-  };
+
+  // Fleet-scope dry runs query the shared capacity index (built lazily on
+  // the first one, so a settled fleet whose verdicts are all cached pays
+  // nothing): within one consolidate() call only the watts a migration books
+  // on its target and the servers this pass puts to sleep move a target
+  // capacity, and apply_migration and put_to_sleep re-key exactly those.
+  cap_index_built_ = false;
+  fleet_index_updates_ = 0;
 
   auto put_to_sleep = [&](NodeId s) {
-    consol_index_erase(s);
     cluster_.sleep_server(s);
+    reindex(s);  // asleep: no capacity left
     tree.node(s).set_budget(Watts{0.0});
     // The sleep flips an active flag (parent's roll-up and division change)
     // and zeroes a budget outside the distributor's bookkeeping.
@@ -1594,142 +1727,26 @@ void Controller::consolidate() {
                             plan.scope_epoch == subtree_epoch_[local_scope];
     if (!plan_fresh) consol_items(ci, &plan.items);
     const std::vector<PlanItem>& items = plan.items;
-    // Fleet-scope fast path: reproduce pack(kFfdlr)'s verdict from the shared
-    // capacity index instead of rebuilding all fleet bins per candidate.  The
-    // virtual groups depend only on the items and cmax; each group then lands
-    // in the first unused index entry with capacity + eps >= content — the
-    // bin pack() would pick, because the index order equals pack()'s
-    // real-bin order.  Groups that fit no single unused bin spill into
-    // pack()'s final best-fit pass, replayed here over the index plus the
-    // residuals of already-touched bins, so every verdict is two-valued:
-    // true = placed-all (plan in fast_assign_scratch_, pack()'s emission
-    // order), false = pack() would leave something unplaced.
-    auto fast_root_pack = [&]() -> bool {
-      if (!consol_index_built_) build_consol_index();
-      double cmax = 0.0;
-      for (auto it = consol_cap_index_.rbegin(); it != consol_cap_index_.rend();
-           ++it) {
-        if (it->second != s) {
-          cmax = it->first;
-          break;
-        }
-      }
-      if (cmax <= 0.0) return false;  // no usable bin anywhere in the fleet
-      fill_pack_items(items, pack_scratch_.items);
-      const binpack::VirtualGroups vg =
-          binpack::ffdlr_virtual_groups(pack_scratch_.items, cmax);
-      if (!vg.oversized.empty()) return false;  // unplaceable regardless
-      fast_assign_scratch_.clear();
-      // Bins this plan already used, as (node, residual) in touch order, and
-      // the items that fell out of whole-group placement.  Both are tiny
-      // (bounded by the candidate's app count), so linear membership scans
-      // beat any indexed structure.
-      auto& touched = fast_touched_scratch_;
-      touched.clear();
-      auto& leftovers = fast_leftover_scratch_;
-      leftovers.clear();
-      auto is_touched = [&](NodeId t) {
-        for (const auto& e : touched) {
-          if (e.first == t) return true;
-        }
-        return false;
-      };
-      for (const auto& g : vg.groups) {
-        // Start at the first entry that could pass capacity + eps >= content
-        // (the two boundary forms differ far below eps at watt magnitudes)
-        // and advance with pack()'s exact predicate.
-        auto it = consol_cap_index_.lower_bound(
-            std::pair<double, NodeId>{g.content - 2 * kEps, NodeId{0}});
-        NodeId chosen = hier::kNoNode;
-        double chosen_cap = 0.0;
-        for (; it != consol_cap_index_.end(); ++it) {
-          if (!binpack::fits(it->first, g.content)) continue;
-          if (it->second == s || is_touched(it->second)) continue;
-          chosen = it->second;
-          chosen_cap = it->first;
-          break;
-        }
-        if (chosen == hier::kNoNode) {
-          // No single unused bin holds the whole group; its items retry
-          // singly below, exactly as pack() spills them.
-          leftovers.insert(leftovers.end(), g.items.begin(), g.items.end());
-          continue;
-        }
-        double residual = chosen_cap;
-        for (const std::size_t item : g.items) {
-          fast_assign_scratch_.emplace_back(item, chosen);
-          // Sequential subtraction, like MutableBins::place — the running
-          // residual must match pack()'s bits, and float subtraction is not
-          // associative.
-          residual -= items[item].size.value();
-        }
-        touched.emplace_back(chosen, residual);
-      }
-      if (leftovers.empty()) return true;
-      // pack()'s final pass: leftovers re-sorted globally (size descending,
-      // input index ascending), each best-fit into the minimal feasible
-      // slack; ties go to the lowest bin input index, i.e. lowest NodeId.
-      std::stable_sort(leftovers.begin(), leftovers.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         if (items[a].size.value() != items[b].size.value()) {
-                           return items[a].size.value() > items[b].size.value();
-                         }
-                         return a < b;
-                       });
-      for (const std::size_t item : leftovers) {
-        const double size = items[item].size.value();
-        NodeId chosen = hier::kNoNode;
-        double best = std::numeric_limits<double>::infinity();
-        // Best untouched bin: capacity order makes slack monotone, so the
-        // first feasible entry minimizes it.  Entries whose slack rounds to
-        // the same double form a contiguous run (fl(x - size) is monotone in
-        // x); scan the run for the lowest NodeId, because pack()'s
-        // input-order scan keeps the first — lowest-NodeId — minimal bin.
-        auto it = consol_cap_index_.lower_bound(
-            std::pair<double, NodeId>{size - 2 * kEps, NodeId{0}});
-        for (; it != consol_cap_index_.end(); ++it) {
-          const double slack = it->first - size;  // pack()'s exact slack form
-          if (!(slack >= -kEps)) continue;
-          if (it->second == s || is_touched(it->second)) continue;
-          if (chosen == hier::kNoNode) {
-            best = slack;
-            chosen = it->second;
-          } else if (slack == best) {
-            if (it->second < chosen) chosen = it->second;
-          } else {
-            break;  // slack only grows from here
-          }
-        }
-        // Touched bins compete with their shrunken residuals under the same
-        // (slack, NodeId) minimization.
-        std::size_t chosen_touched = touched.size();
-        for (std::size_t ti = 0; ti < touched.size(); ++ti) {
-          const double slack = touched[ti].second - size;
-          if (!(slack >= -kEps)) continue;
-          if (slack < best || (slack == best && touched[ti].first < chosen)) {
-            best = slack;
-            chosen = touched[ti].first;
-            chosen_touched = ti;
-          }
-        }
-        if (chosen == hier::kNoNode) return false;  // fits nowhere: not all placed
-        fast_assign_scratch_.emplace_back(item, chosen);
-        if (chosen_touched < touched.size()) {
-          touched[chosen_touched].second -= size;
-        } else {
-          // First subtraction from an untouched bin is capacity - size,
-          // which is exactly the slack already computed.
-          touched.emplace_back(chosen, best);
-        }
-      }
-      return true;
-    };
     // Dry-run one scope.  On every path the placement plan lands in
     // fast_assign_scratch_ as (item, target) pairs in pack()'s assignment
     // emission order, so the apply loop below has one shape.
     auto run_scope = [&](NodeId scope) -> bool {
-      if (inc && scope == root) {
-        const bool verdict = fast_root_pack();
+      if (scope == root && index_serves(root)) {
+        // Fleet scope on the capacity index: pack(kFfdlr)'s verdict without
+        // rebuilding all fleet bins per candidate.  Only the all-placed
+        // verdict matters here, so the replay stops at the first item that
+        // fits nowhere.
+        ensure_capacity_index();
+        fill_pack_items(items, pack_scratch_.items);
+        const bool verdict = cap_index_.pack(
+            pack_scratch_.items, index_scope(root, s), true,
+            index_plan_scratch_, index_unplaced_scratch_);
+        fast_assign_scratch_.clear();
+        if (verdict) {
+          for (const auto& [item, slot] : index_plan_scratch_) {
+            fast_assign_scratch_.emplace_back(item, arena.node_of(slot));
+          }
+        }
         ++n_batched;
         if (config_.shadow_diff) {
           // A placed-all verdict must also reproduce the full plan exactly.
@@ -1738,7 +1755,7 @@ void Controller::consolidate() {
           shadow_verify(full != verdict ||
                             (verdict &&
                              shadow_assign_scratch_ != fast_assign_scratch_),
-                        "consolidation fast path diverged", s);
+                        "consolidation capacity index diverged", s);
         }
         return verdict;
       }
@@ -1789,7 +1806,6 @@ void Controller::consolidate() {
     }
     for (const auto& [item_idx, tgt] : fast_assign_scratch_) {
       apply_migration(items[item_idx], tgt);
-      consol_index_update(tgt);  // capacity shrank; no-op if index not built
     }
     ++n_drained;
     if (srv.apps().empty()) {
@@ -1811,7 +1827,7 @@ void Controller::consolidate() {
     c_consol_drained_->increment(n_drained);
     c_consol_cache_served_->increment(n_cache_served);
     c_consol_batched_->increment(n_batched);
-    c_index_point_updates_->increment(index_updates);
+    c_index_point_updates_->increment(fleet_index_updates_);
   }
 }
 

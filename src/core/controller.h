@@ -30,7 +30,6 @@
 #pragma once
 
 #include <functional>
-#include <set>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -38,6 +37,7 @@
 #include "binpack/pack.h"
 #include "core/allocation.h"
 #include "core/balance.h"
+#include "core/capacity_index.h"
 #include "core/cluster.h"
 #include "fault/link_faults.h"
 #include "obs/bus.h"
@@ -255,8 +255,10 @@ class Controller {
     return apps_in_flight_.contains(app);
   }
 
-  /// Force a supply adaptation now (tests; scenario warm-up).
+  /// Force a supply adaptation now (tests; scenario warm-up).  The plant
+  /// may have moved since the last tick, so every leaf limit is re-read.
   void force_supply_adaptation(Watts available_supply) {
+    leaf_limits_tick_ = -1;
     supply_adaptation(available_supply);
   }
 
@@ -302,7 +304,12 @@ class Controller {
   };
 
   void supply_adaptation(Watts available_supply);
+  /// Refresh leaf limits (once per tick: the plant does not move inside a
+  /// tick, so a wake batch's re-division finds them where the tick's first
+  /// pass left them), then roll dirty internal limits up.
   void update_hard_limits();
+  /// Set `node`'s budget_reduced_ flag, listing it for the next clear.
+  void mark_budget_reduced(NodeId node);
   /// Degrade/drop unplaceable leftovers per SheddingPolicy, lowest priority
   /// first, releasing just enough to cover each source's deficit.
   void shed_leftovers(std::vector<PlanItem>& pending);
@@ -353,6 +360,16 @@ class Controller {
   /// migrations.  Returns the item indices that could not be placed.
   std::vector<std::size_t> pack_and_apply(std::vector<PlanItem>& items,
                                           const std::vector<NodeId>& targets);
+  /// As above, with the bins of every eligible server under `scope`, served
+  /// by the capacity index when index_serves(scope).
+  std::vector<std::size_t> pack_and_apply(std::vector<PlanItem>& items,
+                                          NodeId scope);
+  /// The one solve-and-apply path behind both forms: count the problem,
+  /// serve it from the all-unplaced memo when it repeats, else solve it — on
+  /// the capacity index when `scope` is a node, else with binpack::pack over
+  /// pack_scratch_.bins — and apply the plan.
+  std::vector<std::size_t> solve_and_apply(std::vector<PlanItem>& items,
+                                           NodeId scope);
 
   void apply_migration(const PlanItem& item, NodeId target);
 
@@ -396,8 +413,9 @@ class Controller {
 
   /// Divide `id`'s budget among its children (Sec. IV-D) from their current
   /// demands and capacities.  The supply pass and its shadow check both
-  /// derive the division here.
-  [[nodiscard]] AllocationResult divide(NodeId id);
+  /// derive the division here.  The result lives in reused scratch, valid
+  /// until the next call.
+  const AllocationResult& divide(NodeId id);
 
   /// Shadow-diff verdict: count one audited skip, and throw std::logic_error
   /// naming `what` (and `node`, if given) when the re-derivation mismatched.
@@ -483,9 +501,15 @@ class Controller {
     bool valid = false;
   } pack_memo_;
 
-  /// Division scratch (child demand/capacity vectors, reused per node).
+  /// Division scratch (child demand/capacity vectors, the kernel's buffers
+  /// and its result, reused per node so a division allocates nothing).
   std::vector<Watts> alloc_demands_scratch_;
   std::vector<Watts> alloc_caps_scratch_;
+  AllocationScratch alloc_scratch_;
+  AllocationResult alloc_result_;
+  /// The tick whose leaf limits update_hard_limits last refreshed (-1 =
+  /// refresh on the next call).
+  long leaf_limits_tick_ = -1;
 
   /// Instruments resolved once when the bus is attached (name lookups are a
   /// hash probe each; the skip paths fire per node per tick).
@@ -504,6 +528,23 @@ class Controller {
   obs::Counter* c_consol_cache_served_ = nullptr;
   obs::Counter* c_consol_batched_ = nullptr;
   obs::Counter* c_index_point_updates_ = nullptr;
+
+  /// Sub-phase wall-clock timers (controller.phase.*; DESIGN.md §9).  Timers
+  /// rather than counters or histograms: wall time is not a decision, and
+  /// decision fingerprints hash every control.* / controller.* counter,
+  /// gauge and histogram.  Registered by the first tick on a bus rather than
+  /// when the bus is attached, so constructing a controller allocates
+  /// nothing for them.
+  void resolve_phase_timers();
+  obs::EventBus* phase_timers_bus_ = nullptr;
+  obs::Timer* t_reports_ = nullptr;
+  obs::Timer* t_supply_ = nullptr;
+  obs::Timer* t_thermal_clamp_ = nullptr;
+  obs::Timer* t_demand_local_ = nullptr;
+  obs::Timer* t_demand_escalation_ = nullptr;
+  obs::Timer* t_demand_wakes_ = nullptr;
+  obs::Timer* t_consolidation_ = nullptr;
+  obs::Timer* t_revival_ = nullptr;
 
   /// Fault instruments, resolved only when a link-fault model or the stale
   /// machinery is active so fault-free runs register no extra counters.
@@ -531,6 +572,9 @@ class Controller {
   long tick_ = 0;
   Watts last_supply_{0.0};
   std::vector<bool> budget_reduced_;
+  /// The nodes whose budget_reduced_ flag is set, so the supply pass clears
+  /// them without scanning the tree.
+  std::vector<NodeId> reduced_nodes_;
   /// Servers whose budget this tick's thermal/circuit clamp reduced; drives
   /// the kThermal reason code on the migrations the clamp forces.
   std::vector<char> thermally_clamped_;
@@ -566,8 +610,13 @@ class Controller {
 
   /// Cached topology (see ensure_topology_cache).
   std::size_t cache_tree_size_ = 0;
-  std::vector<NodeId> bottom_up_;
-  std::vector<NodeId> top_down_;
+  /// Internal (non-leaf) nodes bottom-up and top-down: the hard-limit
+  /// roll-up and the division walk never visit leaves.
+  std::vector<NodeId> internal_bottom_up_;
+  std::vector<NodeId> internal_top_down_;
+  /// Scopes demand escalation climbs through after the local pass: internal
+  /// nodes bottom-up, group parents skipped except the root.
+  std::vector<NodeId> escalation_scopes_;
   /// Internal nodes with >= 1 server child, in bottom-up order (the "level-1
   /// groups" demand adaptation plans over).
   std::vector<NodeId> group_parents_;
@@ -619,30 +668,55 @@ class Controller {
   std::vector<const workload::Application*> victim_scratch_;
   std::vector<workload::Application*> shed_scratch_;
 
-  /// Consolidation fleet-scope fast path (valid only within one
-  /// consolidate() call; see consolidate()).  The capacity index holds every
-  /// (active, root-eligible, capacity > eps) server except none — candidates
-  /// skip themselves at pack time — ordered by (capacity, NodeId), which is
-  /// exactly FFDLR's real-bin order when bins are enumerated in creation
-  /// order.  An ordered set rather than a sorted vector: the batched drain
-  /// point-updates the index after every applied migration and sleep, and
-  /// under churn those point deltas number in the thousands per pass —
-  /// O(log fleet) node surgery instead of O(fleet) vector memmoves.
-  /// `consol_cap_of_` remembers each slot's indexed key so point updates can
-  /// erase it after a migration changes the capacity.
-  std::set<std::pair<double, NodeId>> consol_cap_index_;
-  std::vector<std::pair<double, NodeId>> consol_index_build_scratch_;
-  std::vector<double> consol_cap_of_;        ///< by slot; <0 = not indexed
-  std::vector<char> consol_root_eligible_;   ///< by slot (unidirectional rule)
-  bool consol_index_built_ = false;
+  // ---- the capacity index (escalation and consolidation) -----------------
+  // One (capacity, slot)-ordered index over every active server with target
+  // capacity, whose order is FFDLR's real-bin order for every scope (see
+  // CapacityIndex).  Escalation above the rack and consolidation at fleet
+  // scope query it instead of materializing bins per call.  Built lazily,
+  // at most once per phase (demand escalation after the local pass;
+  // consolidation), point-updated by apply_migration and sleeps, and
+  // invalidated whenever a division or a wake runs.  Within a phase every
+  // other input of target_capacity() and eligible_target() — budgets,
+  // reported demands, budget_reduced_ flags — is frozen.
+
+  /// Build the index if the phase has not: one top-down pass records each
+  /// server's deepest banned ancestor, then every active server with
+  /// capacity is loaded.
+  void ensure_capacity_index();
+  /// Whether the index answers packing problems at `scope`: it replays
+  /// FFDLR only, in incremental mode, over a contiguous slot span.
+  [[nodiscard]] bool index_serves(NodeId scope) const;
+  /// The index query for `scope`'s bins, excluding server `exclude`.
+  [[nodiscard]] CapacityIndex::Scope index_scope(NodeId scope,
+                                                 NodeId exclude) const;
+  /// Fingerprint of `q`'s bins in enumeration order, equal to the one the
+  /// materialized bins would hash (the pack memo compares them).
+  [[nodiscard]] std::uint64_t index_bins_sig(
+      const CapacityIndex::Scope& q) const;
+  /// Re-key server `t` at its current target capacity (no-op while the
+  /// index is unbuilt), counting mutations of fleet-scope (root-eligible)
+  /// entries into fleet_index_updates_.
+  void reindex(NodeId t);
+  /// Fill `buf` with every active server under `scope` (but `exclude`) that
+  /// is eligible at `scope` and has capacity: the materialized bins.
+  void scope_bins(NodeId scope, NodeId exclude, PackBuffers& buf) const;
+
+  CapacityIndex cap_index_;
+  bool cap_index_built_ = false;
+  /// Depth of the deepest banned node on each internal node's root path.
+  std::vector<int> deepest_ban_;  ///< by NodeId
+  CapacityIndex::Plan index_plan_scratch_;
+  std::vector<std::size_t> index_unplaced_scratch_;
+  /// Point mutations of fleet-scope entries since consolidate() began (what
+  /// control.index_point_updates reports).
+  std::uint64_t fleet_index_updates_ = 0;
+  /// A solved plan as (item, target) pairs in pack()'s emission order.
+  Assignments plan_scratch_;
   Assignments fast_assign_scratch_;
   /// Shadow mode's full dry-run plan, compared against the one in use.
   Assignments shadow_assign_scratch_;
-  /// Fast-path pack scratch: bins the current candidate's plan already
-  /// touched, as (target, residual) in touch order, and the item indices that
-  /// fell out of whole-group placement (pack()'s leftover best-fit inputs).
-  std::vector<std::pair<NodeId, double>> fast_touched_scratch_;
-  std::vector<std::size_t> fast_leftover_scratch_;
+  /// Sleeping servers as (hard limit, NodeId), heap-ordered for waking.
+  std::vector<std::pair<double, NodeId>> sleep_pool_scratch_;
 
   /// Per-candidate drain plan, one slot per consol_order_ position, reused
   /// across ΔA passes (inner vectors keep their capacity — this is also where

@@ -6,7 +6,9 @@
 // directly from the PMU tree.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/cluster.h"
@@ -22,9 +24,14 @@ struct DatacenterLayout {
   std::size_t racks_per_zone = 3;
   std::size_t servers_per_rack = 3;
 
-  [[nodiscard]] std::size_t total_servers() const {
-    return zones * racks_per_zone * servers_per_rack;
-  }
+  /// Servers in the layout.  Throws std::overflow_error when the product
+  /// of the three counts does not fit std::size_t (SimConfig::validate
+  /// rejects such layouts by node_count() first).
+  [[nodiscard]] std::size_t total_servers() const;
+
+  /// PMU tree nodes the layout builds — root, zones, racks and servers — or
+  /// nullopt when that count overflows std::size_t.
+  [[nodiscard]] std::optional<std::size_t> node_count() const;
 };
 
 struct DatacenterOptions {

@@ -22,15 +22,20 @@ using util::Watts;
                            message);
 }
 
+/// The one floating-point conversion behind every numeric value.  Only
+/// finite numbers pass: std::stod also reads "nan" and "inf", and NaN slips
+/// through every range check (each comparison with it is false).
 double parse_double(const std::string& text, int line) {
+  double v = 0.0;
   try {
     std::size_t used = 0;
-    const double v = std::stod(text, &used);
+    v = std::stod(text, &used);
     if (used != text.size()) fail(line, "trailing junk in number '" + text + "'");
-    return v;
   } catch (const std::logic_error&) {
     fail(line, "expected a number, got '" + text + "'");
   }
+  if (!std::isfinite(v)) fail(line, "expected a finite number, got '" + text + "'");
+  return v;
 }
 
 /// The one integer conversion behind every integer key: the number must be
@@ -186,7 +191,7 @@ void assign(util::Quantity<Tag>& field, const std::string& text, int line) {
 
 void assign_probability(double& field, const std::string& text, int line) {
   field = parse_double(text, line);
-  if (field < 0.0 || field > 1.0) {
+  if (!(field >= 0.0 && field <= 1.0)) {
     fail(line, "expected a probability in [0,1], got '" + text + "'");
   }
 }
@@ -234,6 +239,18 @@ SimConfig parse_scenario(std::istream& in) {
     doc->set(draft, value, line);
   }
 
+  try {
+    cfg.controller.validate();
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("scenario: ") + e.what());
+  }
+  if (const auto errors = cfg.validate(); !errors.empty()) {
+    std::string msg = "scenario: invalid configuration:";
+    for (const auto& e : errors) msg += "\n  - " + e;
+    throw std::runtime_error(msg);
+  }
+  // After validation: the per-server override vector is sized by the layout,
+  // which must be known to fit first.
   if (draft.hot_zone_servers > 0) {
     const auto total = cfg.datacenter.layout.total_servers();
     if (draft.hot_zone_servers > total) {
@@ -244,16 +261,6 @@ SimConfig parse_scenario(std::istream& in) {
     for (std::size_t i = total - draft.hot_zone_servers; i < total; ++i) {
       cfg.datacenter.ambient_overrides[i] = util::Celsius{draft.hot_ambient_c};
     }
-  }
-  try {
-    cfg.controller.validate();
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("scenario: ") + e.what());
-  }
-  if (const auto errors = cfg.validate(); !errors.empty()) {
-    std::string msg = "scenario: invalid configuration:";
-    for (const auto& e : errors) msg += "\n  - " + e;
-    throw std::runtime_error(msg);
   }
   return std::move(cfg);
 }
@@ -285,8 +292,8 @@ const std::vector<ScenarioKeyDoc>& scenario_keys() {
        "offered load vs the thermally sustainable envelope",
        [](D& d, V v, int n) {
          assign(d.cfg.target_utilization, v, n);
-         if (d.cfg.target_utilization < 0.0 ||
-             d.cfg.target_utilization > 1.5) {
+         if (!(d.cfg.target_utilization >= 0.0 &&
+               d.cfg.target_utilization <= 1.5)) {
            fail(n, "utilization out of range");
          }
        }},

@@ -31,7 +31,14 @@ SimConfig::SimConfig() {
 
 std::vector<std::string> SimConfig::validate() const {
   std::vector<std::string> errors;
-  if (datacenter.layout.total_servers() == 0) {
+  // Every PMU node needs a NodeId, and kNoNode (the largest) is reserved.
+  const auto nodes = datacenter.layout.node_count();
+  if (!nodes || *nodes > static_cast<std::size_t>(hier::kNoNode)) {
+    errors.push_back(
+        "datacenter.layout: zones x racks_per_zone x servers_per_rack is too "
+        "large (the tree, root, zones and racks included, may have at most " +
+        std::to_string(hier::kNoNode) + " nodes)");
+  } else if (datacenter.layout.total_servers() == 0) {
     errors.push_back(
         "datacenter.layout: zero servers (zones, racks_per_zone and "
         "servers_per_rack must all be >= 1)");

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "util/rng.h"
@@ -180,6 +185,105 @@ TEST_P(AllocationRandom, ConservationAndCapsAlwaysHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocationRandom,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// The water-fill as first written — every round scans all entries and skips
+// the frozen ones.  The production kernel walks only the still-open entries
+// with reused buffers; it must produce the same bits, because budgets feed
+// bitwise change detection and the golden traces.
+double reference_water_fill(double amount, const std::vector<double>& weights,
+                            const std::vector<double>& limit,
+                            std::vector<double>& value) {
+  constexpr double eps = 1e-12;
+  const std::size_t n = weights.size();
+  std::vector<bool> frozen(n, false);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (weights[i] <= eps || limit[i] - value[i] <= eps) frozen[i] = true;
+  }
+  while (amount > eps) {
+    double wsum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!frozen[i]) wsum += weights[i];
+    }
+    if (wsum <= eps) break;
+    bool clamped = false;
+    double placed = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (frozen[i]) continue;
+      const double share = amount * weights[i] / wsum;
+      const double headroom = limit[i] - value[i];
+      if (share >= headroom - eps) {
+        value[i] += headroom;
+        placed += headroom;
+        frozen[i] = true;
+        clamped = true;
+      } else {
+        value[i] += share;
+        placed += share;
+      }
+    }
+    amount -= placed;
+    if (!clamped) {
+      amount = std::max(0.0, amount);
+      break;
+    }
+  }
+  return std::max(0.0, amount);
+}
+
+AllocationResult reference_allocate(double total,
+                                    const std::vector<Watts>& demands,
+                                    const std::vector<Watts>& caps) {
+  constexpr double eps = 1e-12;
+  const std::size_t n = demands.size();
+  std::vector<double> demand(n), cap(n), value(n, 0.0), limit(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    demand[i] = std::max(0.0, demands[i].value());
+    cap[i] = std::max(0.0, caps[i].value());
+    if (std::isinf(cap[i])) cap[i] = std::numeric_limits<double>::max();
+    limit[i] = std::min(demand[i], cap[i]);
+  }
+  double leftover = reference_water_fill(total, demand, limit, value);
+  if (leftover > eps) leftover = reference_water_fill(leftover, demand, cap, value);
+  if (leftover > eps) {
+    std::vector<double> headroom(n);
+    for (std::size_t i = 0; i < n; ++i) headroom[i] = cap[i] - value[i];
+    leftover = reference_water_fill(leftover, headroom, cap, value);
+  }
+  AllocationResult r;
+  for (double v : value) r.budgets.emplace_back(v);
+  r.unallocated = Watts{leftover};
+  return r;
+}
+
+TEST(Allocation, ReusedScratchReproducesReferenceBits) {
+  util::Rng rng(4242);
+  AllocationScratch scratch;
+  AllocationResult out;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int n = rng.uniform_int(1, 48);
+    std::vector<Watts> demands, caps;
+    for (int i = 0; i < n; ++i) {
+      demands.emplace_back(rng.chance(0.2) ? 0.0 : rng.uniform(0.0, 60.0));
+      caps.emplace_back(rng.chance(0.05) ? kInf : rng.uniform(0.0, 80.0));
+    }
+    const double total = rng.uniform(0.0, 80.0 * n);
+    // One scratch across problems of every width, as the controller uses it.
+    allocate_proportional(Watts{total}, demands, caps, scratch, out);
+    const AllocationResult ref = reference_allocate(total, demands, caps);
+    // Bit patterns, so that the NaN both kernels produce when two
+    // zero-demand children have infinite caps also has to agree.
+    const auto bits = [](Watts w) {
+      return std::bit_cast<std::uint64_t>(w.value());
+    };
+    ASSERT_EQ(out.budgets.size(), ref.budgets.size());
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(bits(out.budgets[i]), bits(ref.budgets[i]))
+          << "trial " << trial << " child " << i;
+    }
+    ASSERT_EQ(bits(out.unallocated), bits(ref.unallocated))
+        << "trial " << trial;
+  }
+}
 
 }  // namespace
 }  // namespace willow::core

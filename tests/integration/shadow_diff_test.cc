@@ -143,6 +143,40 @@ TEST(ShadowDiff, MigrationsPermanentlyInFlightScenario) {
   EXPECT_GT(m.counter_or_zero("control.index_point_updates"), 0u);
 }
 
+TEST(ShadowDiff, EscalationAndWakeScenario) {
+  // Demand escalation above the rack and root-level wakes under a supply
+  // that dips below demand, a hot zone and churn: every escalation verdict
+  // and plan the capacity index serves is re-derived with the full packer,
+  // and every wake batch's skipped leaf-limit refresh is re-checked.
+  auto cfg = base_config(0.6, 31);
+  cfg.datacenter.layout = {3, 4, 6};
+  const std::size_t n = cfg.datacenter.layout.total_servers();
+  cfg.supply = std::make_shared<power::SinusoidSupply>(
+      util::Watts{28.125 * static_cast<double>(n) * 0.85},
+      util::Watts{28.125 * static_cast<double>(n) * 0.15}, 20_s);
+  cfg.datacenter.ambient_overrides.assign(n, 25_degC);
+  for (std::size_t i = n - n / 3; i < n; ++i) {
+    cfg.datacenter.ambient_overrides[i] = 35_degC;
+  }
+  cfg.churn_probability = 0.05;
+  cfg.controller.shedding = core::SheddingPolicy::kDegradeThenDrop;
+  expect_modes_equivalent(cfg);
+  const TracedRun inc = traced_run(cfg, /*incremental=*/true, 1);
+  const auto& stats = inc.result.controller_stats;
+  EXPECT_GT(stats.nonlocal_migrations, 0u) << "nothing escalated";
+  EXPECT_GT(stats.wakes, 0u) << "no wake batch ran";
+}
+
+TEST(ShadowDiff, NonFfdlrPackingScenario) {
+  // The capacity index replays FFDLR only; under another packing algorithm
+  // every escalation and consolidation problem must go to binpack::pack, so
+  // the incremental run still matches the full recompute.
+  auto cfg = base_config(0.6, 17);
+  cfg.churn_probability = 0.1;
+  cfg.controller.packing = binpack::Algorithm::kBestFitDecreasing;
+  expect_modes_equivalent(cfg);
+}
+
 TEST(ShadowDiff, SkipCountersReconcileWithTrace) {
   // The metrics the perf gate keys on must agree with the trace: every
   // upward link message in the JSONL is one demand report, and reaggregated

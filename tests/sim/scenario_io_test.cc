@@ -211,6 +211,36 @@ TEST(ScenarioIo, MalformedInputsFail) {
   expect_error_at_line("seed = 1\ncrash_event = 5 0 1e20\n", 2);
   expect_error_at_line("seed = 1\nthreads = -1\n", 2);
   expect_error_at_line("seed = 1\nmeasure_ticks = nan\n", 2);
+  // Non-finite numbers never pass, on any key: NaN fails every comparison,
+  // so a range check alone would let it through.
+  expect_error_at_line("seed = 1\nreport_loss_probability = nan\n", 2);
+  expect_error_at_line("seed = 1\nmargin_w = inf\n", 2);
+  expect_error_at_line("seed = 1\nmargin_w = -inf\n", 2);
+  expect_error_at_line("seed = 1\nsupply = constant inf\n", 2);
+  expect_error_at_line("seed = 1\nsupply = steps 100 nan 200\n", 2);
+  expect_error_at_line("seed = 1\nsupply = constant -inf\n", 2);
+}
+
+TEST(ScenarioIo, LayoutsTooLargeForNodeIdsFail) {
+  // Fleets whose tree cannot be numbered by a NodeId fail validation with a
+  // message naming the layout fields — including one whose server product
+  // wraps to zero and one with a hot zone, whose per-server override vector
+  // must not be sized before the layout is known to fit.
+  for (const std::string text :
+       {"zones = 4294967296\nracks_per_zone = 4294967296\n",
+        "servers_per_rack = 1e12\n",
+        "servers_per_rack = 1e12\nhot_zone_servers = 1\n"}) {
+    try {
+      parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("zones x racks_per_zone x servers_per_rack"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.find("zero servers"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(ScenarioIo, LoadFileRoundTrip) {

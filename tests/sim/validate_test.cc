@@ -32,6 +32,29 @@ TEST(SimConfigValidate, ZeroServerLayoutIsNamed) {
   EXPECT_TRUE(mentions(cfg.validate(), "datacenter.layout"));
 }
 
+TEST(SimConfigValidate, LayoutTooLargeForNodeIdsIsNamed) {
+  SimConfig cfg;
+  // 2^32 x 2^32 wraps a 64-bit product to 0: the error must name the size,
+  // not claim "zero servers".
+  cfg.datacenter.layout = {4294967296u, 4294967296u, 1};
+  auto errors = cfg.validate();
+  EXPECT_TRUE(mentions(errors, "zones x racks_per_zone x servers_per_rack"));
+  EXPECT_FALSE(mentions(errors, "zero servers"));
+  EXPECT_FALSE(cfg.datacenter.layout.node_count().has_value());
+  EXPECT_THROW((void)cfg.datacenter.layout.total_servers(), std::overflow_error);
+
+  cfg.datacenter.layout = {1, 1, 1000000000000u};
+  EXPECT_TRUE(mentions(cfg.validate(), "servers_per_rack is too large"));
+
+  // The boundary: root + zone + rack + servers may use every NodeId below
+  // the reserved kNoNode, and not one more.
+  cfg.datacenter.layout = {1, 1, 4294967292u};
+  EXPECT_EQ(cfg.datacenter.layout.node_count(), std::size_t{4294967295u});
+  EXPECT_FALSE(mentions(cfg.validate(), "datacenter.layout"));
+  cfg.datacenter.layout = {1, 1, 4294967293u};
+  EXPECT_TRUE(mentions(cfg.validate(), "datacenter.layout"));
+}
+
 TEST(SimConfigValidate, NegativeWattagesAreNamed) {
   SimConfig cfg;
   cfg.demand_quantum = util::Watts{-1.0};
