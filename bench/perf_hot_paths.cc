@@ -1,15 +1,17 @@
 // Performance — the per-tick hot paths outside the packer: thermal stepping,
-// EWMA updates, fabric accounting, and budget allocation.  These run once
-// per server (or per node) per demand period; their costs bound how short
-// ΔD can be for a given fleet size.
+// EWMA updates, fabric accounting, budget allocation and the Poisson demand
+// refresh.  These run once per server (or per node or app) per demand
+// period; their costs bound how short ΔD can be for a given fleet size.
 #include <benchmark/benchmark.h>
 
+#include "common.h"
 #include "core/allocation.h"
 #include "core/controller.h"
 #include "net/fabric.h"
 #include "thermal/thermal_model.h"
 #include "util/ewma.h"
 #include "util/rng.h"
+#include "workload/demand.h"
 
 namespace {
 
@@ -142,6 +144,33 @@ void BM_ControllerTick(benchmark::State& state) {
   }
 }
 
+/// One Poisson draw on a tick stream at mean state.range(0), with the
+/// refresh loop's exp(-lambda) table.
+void BM_StreamPoisson(benchmark::State& state) {
+  const auto mean = static_cast<double>(state.range(0));
+  auto rng = util::tick_stream(1, 0, 0, util::stream_phase::kDemand);
+  util::PoissonThresholds thresholds;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.poisson(mean, thresholds));
+  }
+}
+
+/// The streamed Poisson demand refresh (serial) of a 10 x 25 x 40 fleet
+/// carrying the simulation's application mix at 0.5 utilization, 1 W quanta.
+void BM_DemandRefresh(benchmark::State& state) {
+  auto cfg = bench::paper_sim_config(0.5, 1);
+  cfg.datacenter.layout = {10, 25, 40};
+  sim::Simulation simulation(std::move(cfg));
+  auto& cluster = simulation.datacenter().cluster;
+  const workload::PoissonDemand demand(1_W);
+  long tick = 0;
+  for (auto _ : state) {
+    cluster.refresh_demands(demand, 1, tick++, 1.0, nullptr);
+    benchmark::ClobberMemory();
+  }
+  state.counters["servers"] = static_cast<double>(cluster.server_count());
+}
+
 }  // namespace
 
 BENCHMARK(BM_ThermalStep);
@@ -152,3 +181,5 @@ BENCHMARK(BM_FabricMigration);
 BENCHMARK(BM_ControllerTick)
     ->ArgsProduct({{1000, 10000}, {0, 1}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_StreamPoisson)->Arg(1)->Arg(2)->Arg(5)->Arg(9);
+BENCHMARK(BM_DemandRefresh)->Unit(benchmark::kMicrosecond);

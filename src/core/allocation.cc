@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -92,10 +91,17 @@ void allocate_proportional(Watts total, const std::vector<Watts>& demands,
   demand.resize(n);
   cap.resize(n);
   value.assign(n, 0.0);
+  const auto infinite_cap = [&](std::size_t i) {
+    return caps[i].value() == std::numeric_limits<double>::infinity();
+  };
+  std::size_t unbounded = 0;
   for (std::size_t i = 0; i < n; ++i) {
     demand[i] = std::max(0.0, demands[i].value());
     cap[i] = std::max(0.0, caps[i].value());
-    if (std::isinf(cap[i])) cap[i] = std::numeric_limits<double>::max();
+    if (infinite_cap(i)) {
+      cap[i] = std::numeric_limits<double>::max();
+      ++unbounded;
+    }
   }
 
   // Phase 1: satisfy demands (each node limited by min(demand, cap)),
@@ -112,7 +118,16 @@ void allocate_proportional(Watts total, const std::vector<Watts>& demands,
   }
   // Phase 2b: nodes with zero demand share any remaining surplus in
   // proportion to their cap headroom (the phase-1 limit buffer is free now).
-  if (leftover > kEps) {
+  // An infinite cap's headroom outweighs every finite one, so with any
+  // present the surplus goes to them in equal shares (as headroom weights,
+  // DBL_MAX each, their sum would overflow).
+  if (leftover > kEps && unbounded > 0) {
+    const double share = leftover / static_cast<double>(unbounded);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (infinite_cap(i)) value[i] += share;
+    }
+    leftover = 0.0;
+  } else if (leftover > kEps) {
     for (std::size_t i = 0; i < n; ++i) limit[i] = cap[i] - value[i];
     leftover = water_fill(leftover, limit, cap, value, scratch.open);
   }

@@ -36,7 +36,8 @@ struct AllocationResult {
 /// Phase 2 (surplus regime): once every demand is met, the remainder is
 /// spread proportional to demand over entries still below cap (entries with
 /// zero demand share the remainder proportional to cap headroom instead,
-/// so a fully idle level still banks its surplus downstream).
+/// so a fully idle level still banks its surplus downstream; if any entry's
+/// cap is infinite, those entries take that remainder in equal shares).
 ///
 /// Invariants (tested): sum(budgets) + unallocated == total (within 1e-9);
 /// budgets[i] <= caps[i]; budgets[i] >= 0.

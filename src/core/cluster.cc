@@ -232,15 +232,19 @@ void Cluster::refresh_demands(const workload::PoissonDemand& process,
   // The one tick phase that emits from inside a sharded region: each server's
   // fresh demand sample becomes a kDemandReport deposited into the per-server
   // shard slot; end_shards() merges them in server order so the trace is
-  // identical no matter how the range was partitioned.
+  // identical no matter how the range was partitioned.  The intensity is
+  // checked once, before any server is touched.
+  workload::PoissonDemand::check_intensity(intensity);
   const bool observe = bus_ != nullptr && bus_->enabled();
   if (observe) bus_->begin_shards(servers_.size());
   util::parallel_for_ranges(
       pool, servers_.size(), [&](std::size_t begin, std::size_t end) {
+        // exp(-lambda) per distinct mean, private to this range.
+        util::PoissonThresholds thresholds;
         for (std::size_t i = begin; i < end; ++i) {
           auto rng = util::tick_stream(seed, static_cast<std::uint64_t>(tick),
                                        i, util::stream_phase::kDemand);
-          process.refresh_all(servers_[i].apps(), rng, intensity);
+          process.refresh_all(servers_[i].apps(), rng, intensity, thresholds);
           servers_[i].set_cached_app_demand(
               workload::total_demand(servers_[i].apps()));
           if (observe && !servers_[i].asleep() && !servers_[i].crashed()) {
@@ -266,6 +270,7 @@ void Cluster::refresh_demands_constant() {
 void Cluster::refresh_demands_deterministic(double intensity,
                                             util::ThreadPool* pool,
                                             const PerServerHook* per_server) {
+  workload::ConstantDemand::check_intensity(intensity);
   const bool observe = bus_ != nullptr && bus_->enabled();
   if (observe) bus_->begin_shards(servers_.size());
   util::parallel_for_ranges(

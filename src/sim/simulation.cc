@@ -248,7 +248,18 @@ SimResult Simulation::run() {
   };
   std::vector<ChurnDecision> churn_plan;
   std::vector<double> traffic_units(n_servers, -1.0);
-  std::vector<double> temps(n_servers, 0.0);
+  // Per-server terms of the recorded totals, written by the thermal batch
+  // and reduced serially in server order by the record phase.
+  struct RecordTerms {
+    double consumed = 0.0;     ///< consumed power (W)
+    double temperature = 0.0;  ///< degC after this tick's step
+    double offered = 0.0;      ///< SLA: demand served this period (W)
+    double denied = 0.0;       ///< SLA: demand not served at all (W)
+    double rho = 0.0;          ///< SLA: offered / serviceable capacity
+    bool over_limit = false;   ///< temperature above its limit + 0.5 degC
+  };
+  std::vector<RecordTerms> record_terms(n_servers);
+  const bool track_sla = config_.sla_inflation > 1.0;
 
   // Instruments are resolved once; updates inside the loop are pointer
   // writes.  Timers measure wall-clock and stay out of the event trace.
@@ -557,19 +568,23 @@ SimResult Simulation::run() {
     {
       const obs::ScopedTimer thermal_timer(&t_thermal);
       if (recording) {
-        // Per-server metric accumulation rides the thermal batch on recorded
-        // ticks: it reads only the server just stepped (slot i of
-        // result.servers / temps) plus its standing budget, so fusing it
-        // here yields the values the old dedicated record fan-out produced.
-        // The max/violation reduction still runs serially below.
+        // Per-server recording rides the thermal batch on recorded ticks:
+        // it reads only the server just stepped plus its standing budget and
+        // writes only slot i (result.servers, record_terms).  The
+        // fleet totals are reduced serially, in server order, below.
         const core::Cluster::PerServerHook record_server =
             [&](std::size_t i) {
               const hier::NodeId s = dc_->servers[i];
               const auto& srv = cluster.server_at(i);
               auto& m = result.servers[i];
+              auto& terms = record_terms[i];
               const Watts budget = tree.node(s).budget();
-              m.consumed_power.add(srv.consumed_power(budget).value());
-              m.temperature.add(srv.thermal().temperature().value());
+              terms.consumed = srv.consumed_power(budget).value();
+              m.consumed_power.add(terms.consumed);
+              terms.temperature = srv.thermal().temperature().value();
+              terms.over_limit = terms.temperature >
+                                 srv.thermal().params().limit.value() + 0.5;
+              m.temperature.add(terms.temperature);
               m.utilization.add(norm_util(srv, budget));
               if (srv.asleep()) {
                 m.asleep_fraction += 1.0;
@@ -578,7 +593,28 @@ SimResult Simulation::run() {
                 m.saved_power_w += model.static_power().value() +
                                    sustainable * config_.target_utilization;
               }
-              temps[i] = srv.thermal().temperature().value();
+              if (!track_sla) return;
+              double offered = 0.0, denied = 0.0;
+              for (const auto& a : srv.apps()) {
+                // A crashed host denies all of its hosted service until
+                // restart.
+                if (a.dropped() || srv.asleep() || srv.crashed()) {
+                  denied += a.effective_mean_power().value() * intensity;
+                } else {
+                  offered += a.demand().value();
+                }
+              }
+              terms.offered = offered;
+              terms.denied = denied;
+              if (offered <= 0.0) return;
+              // Serviceable capacity: what the server may and can
+              // sustainably serve beyond its idle floor.
+              const double capacity = std::max(
+                  0.0,
+                  (util::min(budget, srv.thermal().steady_state_power_limit()) -
+                   srv.idle_floor())
+                      .value());
+              terms.rho = capacity > 0.0 ? offered / capacity : 2.0;
             };
         cluster.step_thermal(dt, pool_.get(), &record_server);
       } else {
@@ -596,8 +632,8 @@ SimResult Simulation::run() {
 
     if (!recording) continue;
 
-    // --- Recording (serial remainder; the per-server accumulation rode the
-    // thermal batch above) ---
+    // --- Recording: serial reductions in server order over what the thermal
+    // batch above recorded per server ---
     const obs::ScopedTimer record_timer(&t_record);
     const auto& st = controller_->stats();
     const auto dm = st.demand_migrations - prev_dm;
@@ -619,37 +655,18 @@ SimResult Simulation::run() {
     const int server_level = 0;
     result.imbalance.record(
         t, core::level_balance(tree, server_level).imbalance.value());
-    if (config_.sla_inflation > 1.0) {
+    if (track_sla) {
       workload::SlaTracker tracker(config_.sla_inflation);
-      for (hier::NodeId s : dc_->servers) {
-        const auto& srv = cluster.server(s);
-        double offered = 0.0, denied = 0.0;
-        for (const auto& a : srv.apps()) {
-          // A crashed host denies all of its hosted service until restart.
-          if (a.dropped() || srv.asleep() || srv.crashed()) {
-            denied += a.effective_mean_power().value() * intensity;
-          } else {
-            offered += a.demand().value();
-          }
-        }
-        if (denied > 0.0) tracker.record_denied(denied);
-        if (offered <= 0.0) continue;
-        // Serviceable capacity: what the server may and can sustainably
-        // serve beyond its idle floor.
-        const Watts budget = tree.node(s).budget();
-        const double capacity =
-            std::max(0.0, (util::min(budget,
-                                     srv.thermal().steady_state_power_limit()) -
-                           srv.idle_floor())
-                              .value());
-        const double rho = capacity > 0.0 ? offered / capacity : 2.0;
-        tracker.record(offered, rho);
+      for (const auto& terms : record_terms) {
+        if (terms.denied > 0.0) tracker.record_denied(terms.denied);
+        if (terms.offered > 0.0) tracker.record(terms.offered, terms.rho);
       }
       result.qos_satisfaction.record(t, tracker.satisfaction());
       result.qos_mean_inflation.record(t, tracker.mean_inflation());
     }
 
-    const Watts it_power = cluster.total_consumed();
+    Watts it_power{0.0};
+    for (const auto& terms : record_terms) it_power += Watts{terms.consumed};
     result.total_power.record(t, it_power.value());
     result.supply_series.record(t, supply.value());
     result.intensity_series.record(t, intensity);
@@ -660,12 +677,10 @@ SimResult Simulation::run() {
       result.pue.record(t, config_.cooling->pue(it_power, outside));
     }
 
-    for (std::size_t i = 0; i < n_servers; ++i) {
-      result.max_temperature_c = std::max(result.max_temperature_c, temps[i]);
-      if (temps[i] >
-          cluster.server_at(i).thermal().params().limit.value() + 0.5) {
-        result.thermal_violation = true;
-      }
+    for (const auto& terms : record_terms) {
+      result.max_temperature_c =
+          std::max(result.max_temperature_c, terms.temperature);
+      result.thermal_violation = result.thermal_violation || terms.over_limit;
     }
     for (std::size_t i = 0; i < l1_groups.size(); ++i) {
       auto& m = result.level1_switches[i];

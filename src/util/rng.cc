@@ -2,12 +2,6 @@
 
 namespace willow::util {
 
-std::uint64_t splitmix64_mix(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t stream_seed(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
                           std::uint64_t c) {
   // Fold each coordinate through the full mix with distinct odd offsets so

@@ -23,15 +23,26 @@ class PoissonDemand {
 
   [[nodiscard]] Watts quantum() const { return quantum_; }
 
+  /// Throws std::invalid_argument unless `intensity` >= 0.  Every refresh
+  /// entry point checks once per call, before its loop.
+  static void check_intensity(double intensity) {
+    if (intensity < 0.0) {
+      throw std::invalid_argument("PoissonDemand::refresh: negative intensity");
+    }
+  }
+
   /// One draw for an application with the given mean power.  Generic over
   /// the generator so the tick engine's per-server counter-based streams
   /// (util::StreamRng) drive the same sampling code as the sequential
-  /// scenario generator (util::Rng).
-  template <typename RngT>
-  [[nodiscard]] Watts sample(Watts mean, RngT& rng) const {
+  /// scenario generator (util::Rng).  On a tick stream, an optional
+  /// util::PoissonThresholds memoizes exp(-lambda) across draws.
+  template <typename RngT, typename... Thresholds>
+  [[nodiscard]] Watts sample(Watts mean, RngT& rng,
+                             Thresholds&... thresholds) const {
     if (mean.value() <= 0.0) return Watts{0.0};
     const double lambda = mean.value() / quantum_.value();
-    return Watts{quantum_.value() * static_cast<double>(rng.poisson(lambda))};
+    return Watts{quantum_.value() *
+                 static_cast<double>(rng.poisson(lambda, thresholds...))};
   }
 
   /// Refresh `app`'s instantaneous demand (no-op for dropped apps: a shut
@@ -39,22 +50,27 @@ class PoissonDemand {
   /// workload::IntensityProfile).
   template <typename RngT>
   void refresh(Application& app, RngT& rng, double intensity = 1.0) const {
-    if (intensity < 0.0) {
-      throw std::invalid_argument("PoissonDemand::refresh: negative intensity");
-    }
-    app.set_demand(app.dropped()
-                       ? Watts{0.0}
-                       : sample(app.effective_mean_power() * intensity, rng));
+    check_intensity(intensity);
+    draw(app, rng, intensity);
   }
 
-  /// Refresh a whole collection.
-  template <typename RngT>
+  /// Refresh a whole collection (`thresholds` as for sample()).
+  template <typename RngT, typename... Thresholds>
   void refresh_all(std::vector<Application>& apps, RngT& rng,
-                   double intensity = 1.0) const {
-    for (auto& a : apps) refresh(a, rng, intensity);
+                   double intensity = 1.0, Thresholds&... thresholds) const {
+    check_intensity(intensity);
+    for (auto& a : apps) draw(a, rng, intensity, thresholds...);
   }
 
  private:
+  template <typename RngT, typename... Thresholds>
+  void draw(Application& app, RngT& rng, double intensity,
+            Thresholds&... thresholds) const {
+    app.set_demand(app.dropped() ? Watts{0.0}
+                                 : sample(app.effective_mean_power() * intensity,
+                                          rng, thresholds...));
+  }
+
   Watts quantum_;
 };
 
@@ -62,19 +78,31 @@ class PoissonDemand {
 /// convergence/stability analyses where randomness is controlled separately.
 class ConstantDemand {
  public:
-  /// `intensity` scales the mean exactly as PoissonDemand::refresh does, so
-  /// the deterministic path follows the same demand-side intensity profile.
-  static void refresh(Application& app, double intensity = 1.0) {
+  /// Throws std::invalid_argument unless `intensity` >= 0 (checked once per
+  /// call, before any demand changes).
+  static void check_intensity(double intensity) {
     if (intensity < 0.0) {
       throw std::invalid_argument(
           "ConstantDemand::refresh: negative intensity");
     }
-    app.set_demand(app.dropped() ? Watts{0.0}
-                                 : app.effective_mean_power() * intensity);
+  }
+
+  /// `intensity` scales the mean exactly as PoissonDemand::refresh does, so
+  /// the deterministic path follows the same demand-side intensity profile.
+  static void refresh(Application& app, double intensity = 1.0) {
+    check_intensity(intensity);
+    set(app, intensity);
   }
   static void refresh_all(std::vector<Application>& apps,
                           double intensity = 1.0) {
-    for (auto& a : apps) refresh(a, intensity);
+    check_intensity(intensity);
+    for (auto& a : apps) set(a, intensity);
+  }
+
+ private:
+  static void set(Application& app, double intensity) {
+    app.set_demand(app.dropped() ? Watts{0.0}
+                                 : app.effective_mean_power() * intensity);
   }
 };
 

@@ -144,6 +144,35 @@ TEST(Allocation, HugeTotalWithInfiniteCapsFullyAllocated) {
   EXPECT_NEAR(r.budgets[1].value() / r.budgets[0].value(), 3.0, 1e-6);
 }
 
+// Surplus left for the zero-demand phase goes to infinite-cap children in
+// equal shares: headroom weights of DBL_MAX each used to overflow into NaN
+// budgets, or into a budget far above the parent's.
+TEST(Allocation, InfiniteCapsStayFiniteAndConserve) {
+  struct Case {
+    std::vector<Watts> demands, caps, expected;
+  };
+  const Case cases[] = {
+      {watts_of({0, 0, 10}), watts_of({kInf, kInf, 5}),
+       watts_of({47.5, 47.5, 5})},
+      {watts_of({0, 10}), watts_of({kInf, 5}), watts_of({95, 5})},
+      // A negative infinite cap is a zero cap, not an unbounded one.
+      {watts_of({0, 0, 10}), watts_of({-kInf, kInf, 5}), watts_of({0, 95, 5})},
+  };
+  for (const auto& c : cases) {
+    const auto r = allocate_proportional(100_W, c.demands, c.caps);
+    ASSERT_EQ(r.budgets.size(), c.expected.size());
+    for (std::size_t i = 0; i < r.budgets.size(); ++i) {
+      EXPECT_TRUE(std::isfinite(r.budgets[i].value())) << "child " << i;
+      EXPECT_GE(r.budgets[i].value(), 0.0) << "child " << i;
+      EXPECT_LE(r.budgets[i].value(), std::max(0.0, c.caps[i].value()))
+          << "child " << i;
+      EXPECT_NEAR(r.budgets[i].value(), c.expected[i].value(), 1e-9)
+          << "child " << i;
+    }
+    EXPECT_NEAR(sum(r.budgets) + r.unallocated.value(), 100.0, 1e-9);
+  }
+}
+
 TEST(Allocation, TinyTotalSplitsProportionally) {
   const auto r = allocate_proportional(Watts{1e-6}, watts_of({10, 30}),
                                        watts_of({kInf, kInf}));
@@ -236,15 +265,24 @@ AllocationResult reference_allocate(double total,
   constexpr double eps = 1e-12;
   const std::size_t n = demands.size();
   std::vector<double> demand(n), cap(n), value(n, 0.0), limit(n);
+  std::vector<std::size_t> unbounded;
   for (std::size_t i = 0; i < n; ++i) {
     demand[i] = std::max(0.0, demands[i].value());
     cap[i] = std::max(0.0, caps[i].value());
-    if (std::isinf(cap[i])) cap[i] = std::numeric_limits<double>::max();
+    if (std::isinf(cap[i])) {
+      cap[i] = std::numeric_limits<double>::max();
+      unbounded.push_back(i);
+    }
     limit[i] = std::min(demand[i], cap[i]);
   }
   double leftover = reference_water_fill(total, demand, limit, value);
   if (leftover > eps) leftover = reference_water_fill(leftover, demand, cap, value);
-  if (leftover > eps) {
+  if (leftover > eps && !unbounded.empty()) {
+    // Infinite caps take the zero-demand surplus in equal shares.
+    const double share = leftover / static_cast<double>(unbounded.size());
+    for (std::size_t i : unbounded) value[i] += share;
+    leftover = 0.0;
+  } else if (leftover > eps) {
     std::vector<double> headroom(n);
     for (std::size_t i = 0; i < n; ++i) headroom[i] = cap[i] - value[i];
     leftover = reference_water_fill(leftover, headroom, cap, value);
@@ -270,8 +308,7 @@ TEST(Allocation, ReusedScratchReproducesReferenceBits) {
     // One scratch across problems of every width, as the controller uses it.
     allocate_proportional(Watts{total}, demands, caps, scratch, out);
     const AllocationResult ref = reference_allocate(total, demands, caps);
-    // Bit patterns, so that the NaN both kernels produce when two
-    // zero-demand children have infinite caps also has to agree.
+    // Bit patterns: budgets feed bitwise change detection.
     const auto bits = [](Watts w) {
       return std::bit_cast<std::uint64_t>(w.value());
     };

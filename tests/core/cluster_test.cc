@@ -189,5 +189,25 @@ TEST(Cluster, RefreshDemandsConstantRestoresMeans) {
   EXPECT_DOUBLE_EQ(f.cluster.find_app(1)->demand().value(), 50.0);
 }
 
+TEST(Cluster, StreamedRefreshRejectsNegativeIntensityUpFront) {
+  Fixture f;
+  f.cluster.place(f.app(1, 50.0), f.sa);
+  f.cluster.find_app(1)->set_demand(10_W);
+  const workload::PoissonDemand poisson(1_W);
+  try {
+    f.cluster.refresh_demands(poisson, 1, 0, -1.0, nullptr);
+    ADD_FAILURE() << "negative intensity accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "PoissonDemand::refresh: negative intensity");
+  }
+  try {
+    f.cluster.refresh_demands_deterministic(-1.0, nullptr);
+    ADD_FAILURE() << "negative intensity accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "ConstantDemand::refresh: negative intensity");
+  }
+  EXPECT_DOUBLE_EQ(f.cluster.find_app(1)->demand().value(), 10.0);
+}
+
 }  // namespace
 }  // namespace willow::core

@@ -71,6 +71,8 @@ void expect_results_identical(const SimResult& a, const SimResult& b) {
   expect_series_identical(a.pue, b.pue, "pue");
   expect_series_identical(a.qos_satisfaction, b.qos_satisfaction,
                           "qos_satisfaction");
+  expect_series_identical(a.qos_mean_inflation, b.qos_mean_inflation,
+                          "qos_mean_inflation");
 
   // Per-server metrics (recorded inside the sharded phase).
   ASSERT_EQ(a.servers.size(), b.servers.size());
@@ -131,6 +133,42 @@ void expect_threads_equivalent(SimConfig cfg) {
   sharded.threads = 4;
   const auto a = run_simulation(std::move(serial));
   const auto b = run_simulation(std::move(sharded));
+  expect_results_identical(a, b);
+}
+
+TEST(Determinism, SlaRecordingScenario) {
+  // The SLA terms (offered, denied, utilization) are computed per server in
+  // the sharded thermal batch and reduced serially: a supply deficit with
+  // degrade-then-drop shedding makes the denied branch run, under Poisson
+  // demand, churn and a varying intensity.
+  auto cfg = base_config(0.7, 31);
+  cfg.sla_inflation = 5.0;
+  cfg.demand_quantum = 1_W;
+  cfg.churn_probability = 0.05;
+  cfg.intensity = std::make_shared<workload::DiurnalIntensity>(
+      1.0, 0.3, util::Seconds{20.0});
+  cfg.mix.priority_levels = 3;
+  cfg.controller.shedding = core::SheddingPolicy::kDegradeThenDrop;
+  const double servers =
+      static_cast<double>(cfg.datacenter.layout.total_servers());
+  // Thermally sustainable draw per server at these constants: 28.125 W.
+  cfg.supply = std::make_shared<power::SinusoidSupply>(
+      util::Watts{28.125 * servers * 0.7},
+      util::Watts{28.125 * servers * 0.25}, util::Seconds{16.0});
+  auto serial = cfg;
+  serial.threads = 1;
+  auto sharded = cfg;
+  sharded.threads = 4;
+  const auto a = run_simulation(std::move(serial));
+  const auto b = run_simulation(std::move(sharded));
+  ASSERT_EQ(a.qos_satisfaction.size(), 40u);
+  EXPECT_GT(a.controller_stats.drops, 0u);
+  EXPECT_LT(a.qos_satisfaction.stats().min(), 1.0);
+  expect_series_identical(a.qos_satisfaction, b.qos_satisfaction,
+                          "qos_satisfaction");
+  expect_series_identical(a.qos_mean_inflation, b.qos_mean_inflation,
+                          "qos_mean_inflation");
+  expect_series_identical(a.total_power, b.total_power, "total_power");
   expect_results_identical(a, b);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "util/stats.h"
 
 namespace willow::workload {
@@ -87,6 +90,67 @@ TEST(ConstantDemand, DroppedAppDemandsNothing) {
   a.set_dropped(true);
   ConstantDemand::refresh(a);
   EXPECT_DOUBLE_EQ(a.demand().value(), 0.0);
+}
+
+void expect_invalid_argument(const std::function<void()>& call,
+                             const std::string& message) {
+  try {
+    call();
+    ADD_FAILURE() << "no exception; expected: " << message;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(e.what(), message);
+  }
+}
+
+TEST(DemandRefresh, NegativeIntensityThrowsAtEveryEntryPoint) {
+  // Checked once per call, before the loop: an empty collection throws too,
+  // and nothing is refreshed.
+  const PoissonDemand d(1_W);
+  const std::string poisson = "PoissonDemand::refresh: negative intensity";
+  const std::string constant = "ConstantDemand::refresh: negative intensity";
+  std::vector<Application> apps;
+  apps.emplace_back(1, 0, 50_W, 512_MB);
+  apps[0].set_demand(7_W);
+  std::vector<Application> none;
+  util::Rng rng(8);
+  util::StreamRng stream(9);
+  util::PoissonThresholds thresholds;
+  expect_invalid_argument([&] { d.refresh(apps[0], rng, -1.0); }, poisson);
+  expect_invalid_argument([&] { d.refresh(apps[0], stream, -1.0); }, poisson);
+  expect_invalid_argument([&] { d.refresh_all(apps, rng, -1.0); }, poisson);
+  expect_invalid_argument([&] { d.refresh_all(none, rng, -1.0); }, poisson);
+  expect_invalid_argument(
+      [&] { d.refresh_all(apps, stream, -1.0, thresholds); }, poisson);
+  expect_invalid_argument([&] { ConstantDemand::refresh(apps[0], -0.5); },
+                          constant);
+  expect_invalid_argument([&] { ConstantDemand::refresh_all(apps, -0.5); },
+                          constant);
+  expect_invalid_argument([&] { ConstantDemand::refresh_all(none, -0.5); },
+                          constant);
+  EXPECT_DOUBLE_EQ(apps[0].demand().value(), 7.0);
+}
+
+TEST(PoissonDemand, MemoizedThresholdsDrawTheSameStream) {
+  // The refresh loop's exp(-lambda) table changes nothing about the draws.
+  const PoissonDemand d(Watts{0.5});
+  std::vector<Application> a, b;
+  for (AppId id = 1; id <= 200; ++id) {
+    const Watts mean{1.0 + static_cast<double>(id % 7)};
+    a.emplace_back(id, 0, mean, 512_MB);
+    b.emplace_back(id, 0, mean, 512_MB);
+    if (id % 3 == 0) {
+      a.back().set_service_level(0.5);
+      b.back().set_service_level(0.5);
+    }
+  }
+  util::StreamRng plain(11), memo(11);
+  util::PoissonThresholds thresholds;
+  d.refresh_all(a, plain, 0.9);
+  d.refresh_all(b, memo, 0.9, thresholds);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].demand().value(), b[i].demand().value()) << i;
+  }
+  EXPECT_EQ(plain.engine()(), memo.engine()());
 }
 
 class PoissonMeanSweep : public ::testing::TestWithParam<double> {};
